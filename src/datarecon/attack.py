@@ -4,8 +4,10 @@ Adam updates and convergence traces of the recoverable statistics.
 Three objective modes: 'fd' (integration-by-parts trace form), 'sfd'
 (sliced quadratic forms, fresh slice directions every iteration) and
 'nonbayes' (squared norm of the weighted loss-gradient sum at the released
-parameters). Gradients are assembled analytically from the model callbacks;
-coordinates marked frozen in the layout receive no gradient and never move.
+parameters). The fd and sfd values and gradients are assembled in statistic
+space, from the feature sums of the pseudo-measure and per-draw coefficients
+computed once per run; the nonbayes ones from the loss callbacks.
+Coordinates marked frozen in the layout receive no gradient and never move.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import PosteriorDraws, weighted_score_batch
+from .divergence import PosteriorCoefficients, PosteriorDraws
 from .measures import (
     ReconStats,
     WeightedEmpiricalMeasure,
@@ -43,12 +45,19 @@ class AttackConfig:
     def __post_init__(self):
         if self.objective not in ("fd", "sfd", "nonbayes"):
             raise ValueError(f"unknown objective: {self.objective!r}")
+        for name in ("M", "iters", "L", "seed", "trace_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr_w", "lr_z"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (np.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.lr_w <= 0 or self.lr_z <= 0:
-            raise ValueError("learning rates must be positive")
         if self.objective == "sfd" and self.L < 1:
             raise ValueError("L must be >= 1 for the sliced objective")
         if self.trace_every < 1:
@@ -117,44 +126,33 @@ def initialize_pseudo(model, config: AttackConfig, draws: PosteriorDraws | None 
 
 # --- objective values and gradients ------------------------------------------
 
-def _bayes_value_and_grads(model, thetas, measure, slices=None, want_grads=True):
-    """Shared fd/sfd machinery; ``slices is None`` selects the trace (fd) form."""
+def _bayes_value_and_grads(model, coef, measure, slices=None, want_grads=True):
+    """fd/sfd objective in statistic space: the measure enters only through
+    its feature sums Phi = sum_m w_m phi(z_m). ``coef`` holds the per-draw
+    coefficients; ``slices is None`` selects the trace (fd) form."""
     w = measure.weights
-    points = measure.points
-    T = len(thetas)
-    scores = model.score_batch(thetas, points)                   # (T, M, d)
-    S = model.prior_score_batch(thetas) + np.einsum("m,tmd->td", w, scores)
-    if slices is None:
-        curv_m = model.trace_batch(thetas, points)               # (T, M)
-        curv_prior = model.prior_trace_batch(thetas)             # (T,)
-    else:
-        curv_m = model.quad_batch(thetas, points, slices).mean(axis=1)      # (T, M)
-        curv_prior = model.prior_quad_batch(thetas, slices).mean(axis=1)    # (T,)
-    per_draw = curv_prior + curv_m @ w + 0.5 * np.sum(S**2, axis=1)
+    phi = model.phi(measure.points)                              # (M, K)
+    per_draw, c, S = coef.per_draw(w @ phi, slices)
     value = float(np.mean(per_draw))
     if not want_grads:
         return value, None, None
-    grad_w = curv_m.mean(axis=0) + np.einsum("td,tmd->m", S, scores) / T
-    jac = model.jac_score_batch(thetas, points)                  # (T, M, d, pf)
-    grad_z = np.einsum("tmdj,td->mj", jac, S) / T
-    if slices is None:
-        grad_z += model.grad_trace_batch(thetas, points).mean(axis=0)
-    else:
-        grad_z += model.grad_quad_batch(thetas, points, slices).mean(axis=(0, 1))
-    grad_z *= w[:, None]
+    g = c.mean(axis=0) + np.einsum("tdk,td->k", coef.A, S) / coef.T   # d value / d Phi
+    grad_w = phi @ g
+    grad_z = w[:, None] * np.einsum("mkp,k->mp", model.phi_jac(measure.points), g)
     return value, grad_w, grad_z
 
 
 def _nonbayes_value_and_grads(loss_model, theta_star, measure, want_grads=True):
-    theta_star = np.asarray(theta_star, dtype=float).ravel()
     w = measure.weights
-    grads = loss_model.grad_theta_batch(theta_star, measure.points)   # (M, d)
+    if want_grads:
+        grads, jac = loss_model.grad_and_jac_batch(theta_star, measure.points)
+    else:
+        grads = loss_model.grad_theta_batch(theta_star, measure.points)   # (M, d)
     G = loss_model.reg_grad(theta_star) + w @ grads
     value = float(G @ G)
     if not want_grads:
         return value, None, None
     grad_w = 2.0 * grads @ G
-    jac = loss_model.jac_data_batch(theta_star, measure.points)       # (M, d, pf)
     grad_z = 2.0 * w[:, None] * np.einsum("mdj,d->mj", jac, G)
     return value, grad_w, grad_z
 
@@ -177,26 +175,33 @@ def objective_gradients(objective: str, model, measure, *, draws=None, slices=No
     return gw, gz
 
 
-def _dispatch(objective, model, measure, draws, slices, theta_star, want_grads):
+def _evaluator(objective, model, draws, theta_star):
+    """Check the run-level inputs of an objective once and return
+    ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``."""
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
-        thetas = model.check_draws(draws.draws)
-        if objective == "sfd":
-            if slices is None:
-                raise ValueError("sfd objective requires slice directions")
-            slices = np.asarray(slices, dtype=float)
-            if slices.shape[0] != len(thetas) or slices.shape[2] != model.param_dim:
-                raise ValueError("slices must have shape (T, L, d)")
-            return _bayes_value_and_grads(model, thetas, measure, slices, want_grads)
-        if slices is not None:
-            raise ValueError("fd objective takes no slices")
-        return _bayes_value_and_grads(model, thetas, measure, None, want_grads)
+        coef = PosteriorCoefficients(model, draws.draws)
+        return lambda meas, slices, want: _bayes_value_and_grads(model, coef, meas, slices, want)
     if objective == "nonbayes":
         if theta_star is None:
             raise ValueError("nonbayes objective requires released parameters")
-        return _nonbayes_value_and_grads(model, theta_star, measure, want_grads)
+        theta_star = np.asarray(theta_star, dtype=float).ravel()
+        return lambda meas, slices, want: _nonbayes_value_and_grads(model, theta_star, meas, want)
     raise ValueError(f"unknown objective: {objective!r}")
+
+
+def _dispatch(objective, model, measure, draws, slices, theta_star, want_grads):
+    evaluate = _evaluator(objective, model, draws, theta_star)
+    if objective == "sfd":
+        if slices is None:
+            raise ValueError("sfd objective requires slice directions")
+        slices = np.asarray(slices, dtype=float)
+        if slices.shape[0] != draws.T or slices.shape[2] != model.param_dim:
+            raise ValueError("slices must have shape (T, L, d)")
+    elif objective == "fd" and slices is not None:
+        raise ValueError("fd objective takes no slices")
+    return evaluate(measure, slices, want_grads)
 
 
 # --- attack loop ---------------------------------------------------------------
@@ -295,14 +300,14 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
         errs = stat_errors(target_stats, stats) if target_stats is not None else None
         trace.checkpoints.append(Checkpoint(iteration, value, stats, errs))
 
+    evaluate = _evaluator(config.objective, model, draws, theta_star)
     T = draws.T if draws is not None else 0
     for it in range(config.iters):
         slices = None
         if config.objective == "sfd":
             slices = draw_slices(slice_rng, T, config.L, model.param_dim)
         meas = current_measure()
-        value, gw, gz = _dispatch(config.objective, model, meas, draws, slices,
-                                  theta_star, want_grads=True)
+        value, gw, gz = evaluate(meas, slices, True)
         if not np.isfinite(value):
             raise RuntimeError(f"objective became non-finite at iteration {it}")
         if it % config.trace_every == 0:

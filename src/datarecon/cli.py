@@ -34,6 +34,7 @@ from .models import (
     GaussianMeanLocation,
     KidScoreModel,
     LogisticLoss,
+    LossModel,
     SquaredErrorLoss,
 )
 from .samplers import SamplerConfig, exact_gaussian_mean_draws, load_draws, rwm_draws, save_draws
@@ -60,6 +61,34 @@ def _check_keys(section: str, cfg: dict) -> None:
     if unknown:
         where = section or "top level"
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _int(section: str, cfg: dict, key: str, default, minimum: int) -> int:
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(section: str, cfg: dict, key: str, default, positive=True) -> float:
+    value = cfg.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value) or value < 0 or (positive and value == 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigError(f"{section}.{key} must be a finite {kind} number, got {value!r}")
+    return float(value)
+
+
+def _vector(section: str, cfg: dict, key: str, length: int) -> tuple[float, ...]:
+    value = cfg[key]
+    if (not isinstance(value, list) or len(value) != length
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and np.isfinite(v) for v in value)):
+        raise ConfigError(f"{section}.{key} must be a list of {length} finite numbers, "
+                          f"got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def load_config(path) -> dict:
@@ -92,20 +121,22 @@ def build_model(cfg: dict):
         raise ConfigError("model.name is required")
     name = cfg["name"]
     if name == "gaussian_mean":
-        return GaussianMeanLocation(int(cfg.get("dim", 1)))
+        return GaussianMeanLocation(_int("model", cfg, "dim", 1, 1))
     if name == "bayes_linreg":
         if "degree" in cfg:
-            return BayesLinReg.polynomial(int(cfg["degree"]))
-        return BayesLinReg.identity_with_intercept(int(cfg.get("x_dim", 1)))
+            return BayesLinReg.polynomial(_int("model", cfg, "degree", 1, 1))
+        return BayesLinReg.identity_with_intercept(_int("model", cfg, "x_dim", 1, 1))
     if name == "kidscore":
-        return KidScoreModel(float(cfg.get("prior_scale", 2.5)))
+        return KidScoreModel(_number("model", cfg, "prior_scale", 2.5))
     if name == "squared_error":
-        ridge = float(cfg.get("ridge", 0.0))
+        ridge = _number("model", cfg, "ridge", 0.0, positive=False)
         if "degree" in cfg:
-            return SquaredErrorLoss.polynomial(int(cfg["degree"]), ridge)
-        return SquaredErrorLoss.identity_with_intercept(int(cfg.get("x_dim", 1)), ridge)
+            return SquaredErrorLoss.polynomial(_int("model", cfg, "degree", 1, 1), ridge)
+        return SquaredErrorLoss.identity_with_intercept(
+            _int("model", cfg, "x_dim", 1, 1), ridge)
     if name == "logistic":
-        return LogisticLoss(int(cfg.get("dim", 1)), float(cfg.get("ridge", 0.0)))
+        return LogisticLoss(_int("model", cfg, "dim", 1, 1),
+                            _number("model", cfg, "ridge", 0.0, positive=False))
     raise ConfigError(f"unknown model name: {name!r}")
 
 
@@ -137,23 +168,23 @@ def _get_draws(cfg: dict, model) -> PosteriorDraws:
                 f"draws have {draws.dim} columns, model expects {model.param_dim}")
         return draws
     X = _load_data(cfg, model)
-    T = int(sampler.get("T", 1000))
-    seed = int(sampler.get("seed", 0))
+    T = _int("sampler", sampler, "T", 1000, 1)
+    seed = _int("sampler", sampler, "seed", 0, 0)
     if kind == "exact":
         if not isinstance(model, GaussianMeanLocation):
             raise ConfigError("exact sampling is only available for gaussian_mean")
         return exact_gaussian_mean_draws(X, T, seed)
     if kind == "rwm":
-        init = sampler.get("init")
-        if init is None:
+        if sampler.get("init") is None:
             raise ConfigError("sampler.init is required for rwm")
+        burn_in = sampler.get("burn_in")
         sc = SamplerConfig(
             T=T,
-            burn_in=sampler.get("burn_in"),
-            thinning=int(sampler.get("thinning", 10)),
-            step_scale=float(sampler.get("step_scale", 0.1)),
+            burn_in=None if burn_in is None else _int("sampler", sampler, "burn_in", 0, 0),
+            thinning=_int("sampler", sampler, "thinning", 10, 0),
+            step_scale=_number("sampler", sampler, "step_scale", 0.1),
             seed=seed,
-            init=tuple(float(v) for v in init),
+            init=_vector("sampler", sampler, "init", model.param_dim),
         )
         return rwm_draws(model, X, sc)
     raise ConfigError(f"unknown sampler.kind: {kind!r}")
@@ -199,15 +230,24 @@ def attack(config_path):
         cfg = load_config(config_path)
         model = build_model(cfg.get("model", {}))
         acfg_raw = dict(cfg.get("attack", {}))
+        missing = [k for k in ("objective", "M", "iters") if k not in acfg_raw]
+        if missing:
+            raise ConfigError(f"attack section is missing {missing}")
         theta_star = acfg_raw.pop("theta_star", None)
         trace_target = acfg_raw.pop("trace_target", False)
         acfg = AttackConfig(**acfg_raw)
+        if isinstance(model, LossModel) != (acfg.objective == "nonbayes"):
+            kind = "loss" if isinstance(model, LossModel) else "likelihood"
+            raise ConfigError(f"objective {acfg.objective!r} does not apply to the "
+                              f"{kind} model {cfg['model']['name']!r}")
 
         draws = None
         if acfg.objective in ("fd", "sfd"):
             draws = _get_draws(cfg, model)
         elif theta_star is None:
             raise ConfigError("attack.theta_star is required for the nonbayes objective")
+        else:
+            theta_star = _vector("attack", cfg["attack"], "theta_star", model.param_dim)
 
         target_points = None
         if trace_target:

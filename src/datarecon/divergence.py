@@ -80,31 +80,63 @@ def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> Di
     return _estimate(per_draw, constant_note=False)
 
 
+class PosteriorCoefficients:
+    """Per-draw coefficients of the weighted pseudo-posterior in feature space.
+
+    For a measure with feature sums Phi = sum_m w_m phi(z_m), the weighted
+    pseudo-posterior at draw t has score S_t = prior_score[t] + A[t] @ Phi
+    and Hessian prior_hess[t] + sum_k Phi_k B[t, k]. Built once per draw
+    set; the trace (fd) curvature coefficients are fixed with it.
+    """
+
+    def __init__(self, model, thetas):
+        thetas = model.check_draws(thetas)
+        self.A = model.score_coef(thetas)                        # (T, d, K)
+        self.B = model.hess_coef(thetas)                         # (T, K, d, d)
+        self.prior_score = model.prior_score_batch(thetas)       # (T, d)
+        self.prior_hess = model.prior_hess_batch(thetas)         # (T, d, d)
+        self.trace_c = np.einsum("tkii->tk", self.B)
+        self.trace_prior = np.einsum("tii->t", self.prior_hess)
+
+    @property
+    def T(self) -> int:
+        return len(self.A)
+
+    def curvature(self, slices=None):
+        """Curvature coefficients c (T, K) and the prior's curvature (T,):
+        <B_tk, V_t> and <P_t, V_t> with V_t = I (trace form) or, for slices
+        of shape (T, L, d), the slice average of v v^T."""
+        if slices is None:
+            return self.trace_c, self.trace_prior
+        V = slices.transpose(0, 2, 1) @ slices / slices.shape[1]
+        return (np.einsum("tkij,tij->tk", self.B, V),
+                np.einsum("tij,tij->t", self.prior_hess, V))
+
+    def per_draw(self, Phi, slices=None):
+        """Per-draw objective <P_t, V_t> + c_t . Phi + |S_t|^2 / 2, with the
+        curvature coefficients c and the weighted scores S it used."""
+        c, c_prior = self.curvature(slices)
+        S = self.prior_score + self.A @ Phi
+        return c_prior + c @ Phi + 0.5 * np.sum(S**2, axis=1), c, S
+
+
 def fd_ibp_objective(model, draws: PosteriorDraws, recon_measure) -> DivergenceEstimate:
     """Target-free objective: trace of the weighted-posterior Hessian plus
     half the squared weighted-posterior score, averaged over draws."""
-    thetas = model.check_draws(draws.draws)
-    traces = model.prior_trace_batch(thetas) + model.trace_batch(
-        thetas, recon_measure.points
-    ) @ recon_measure.weights
-    S = weighted_score_batch(model, recon_measure, thetas)
-    per_draw = traces + 0.5 * np.sum(S**2, axis=1)
-    return _estimate(per_draw, constant_note=True)
+    coef = PosteriorCoefficients(model, draws.draws)
+    Phi = recon_measure.weights @ model.phi(recon_measure.points)
+    return _estimate(coef.per_draw(Phi)[0], constant_note=True)
 
 
 def sfd_objective(model, draws: PosteriorDraws, slices, recon_measure) -> DivergenceEstimate:
     """Sliced form: the trace term is replaced by quadratic forms along the
-    provided slice directions (shape (T, L, d)); no Hessian is materialised."""
-    thetas = model.check_draws(draws.draws)
+    provided slice directions (shape (T, L, d)), averaged over the slices."""
+    coef = PosteriorCoefficients(model, draws.draws)
     slices = np.asarray(slices, dtype=float)
-    if slices.ndim != 3 or slices.shape[0] != len(thetas) or slices.shape[2] != model.param_dim:
+    if slices.ndim != 3 or slices.shape[0] != coef.T or slices.shape[2] != model.param_dim:
         raise ValueError("slices must have shape (T, L, d)")
-    quads = model.prior_quad_batch(thetas, slices) + model.quad_batch(
-        thetas, recon_measure.points, slices
-    ) @ recon_measure.weights
-    S = weighted_score_batch(model, recon_measure, thetas)
-    per_draw = np.mean(quads, axis=1) + 0.5 * np.sum(S**2, axis=1)
-    return _estimate(per_draw, constant_note=True)
+    Phi = recon_measure.weights @ model.phi(recon_measure.points)
+    return _estimate(coef.per_draw(Phi, slices)[0], constant_note=True)
 
 
 # --- model-induced kernels ---------------------------------------------------

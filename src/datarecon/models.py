@@ -1,10 +1,13 @@
 """Likelihood and loss models with analytic scores, curvature and data
 derivatives.
 
-Every bundled model implements vectorised batch callbacks (over posterior
-draws, pseudo-points and slice directions); the scalar operations used in
-tests and audits are thin wrappers around these. All derivatives are
-analytic and validated against a central-difference oracle, see
+Every likelihood model factorises its log-likelihood as a(theta)^T phi(z)
+over a short feature vector phi and declares only phi, its data Jacobian,
+the coefficient maps a, da/dtheta and d2a/dtheta2, and its prior terms; the
+vectorised batch callbacks (over posterior draws, pseudo-points and slice
+directions) are derived from these, and the scalar operations used in tests
+and audits are thin wrappers around those. All derivatives are analytic and
+validated against a central-difference oracle, see
 ``finite_difference_audit``.
 """
 
@@ -71,26 +74,50 @@ class PolynomialFeatures:
         return np.stack(cols, axis=-1)[..., None]
 
 
+def _intercept_regression(x_dim: int):
+    """psi and layout for data points (1, x_1..x_dim, y), psi the raw x-part."""
+    layout = Layout(p=x_dim + 2, x_idx=tuple(range(x_dim + 1)), y_idx=x_dim + 1,
+                    frozen_idx=(0,))
+    return IdentityFeatures(x_dim + 1), layout
+
+
+def _polynomial_regression(degree: int):
+    """psi and layout for data points (s, y), psi(s) = (1, s, ..., s^degree)."""
+    return PolynomialFeatures(degree), Layout(p=2, x_idx=(0,), y_idx=1)
+
+
 # --- likelihood model contract ----------------------------------------------
 
 class LikelihoodModel:
-    """Contract: analytic log-likelihood, scores, curvature and data
-    derivatives, plus the prior terms entering the weighted posterior."""
+    """Contract: a log-likelihood that factorises as a(theta)^T phi(z) over a
+    short vector of K data features phi, plus the prior terms entering the
+    weighted posterior.
+
+    A model declares the primitives ``phi`` and ``phi_jac`` (features and
+    their Jacobian over the free data coordinates), the coefficient maps
+    ``loglik_coef`` (a), ``score_coef`` (A = da/dtheta) and ``hess_coef``
+    (B = d2a/dtheta2), and the prior's log density, score and Hessian. The
+    per-point callbacks (scores, curvatures, data derivatives) are derived
+    from these, and so is the statistic-space objective: the weighted
+    pseudo-posterior depends on a measure only through its feature sums
+    Phi = sum_m w_m phi(z_m).
+    """
 
     param_dim: int
     layout: Layout
 
-    # subclasses restrict the parameter domain here
-    def _domain_ok(self, thetas: np.ndarray) -> bool:
+    # whether every row of ``thetas`` (T, d) lies in the parameter domain;
+    # subclasses restrict the domain here
+    def in_domain(self, thetas: np.ndarray) -> bool:
         return True
 
     def check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.shape != (self.param_dim,):
             raise ValueError(f"theta must have length {self.param_dim}")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DomainError("theta contains non-finite entries")
-        if not self._domain_ok(theta[None, :]):
+        if not self.in_domain(theta[None, :]):
             raise DomainError("theta outside model domain")
         return theta
 
@@ -100,30 +127,24 @@ class LikelihoodModel:
             raise ValueError(f"draws must have {self.param_dim} columns")
         if not np.all(np.isfinite(thetas)):
             raise DomainError("draws contain non-finite entries")
-        if not self._domain_ok(thetas):
+        if not self.in_domain(thetas):
             raise DomainError("a draw lies outside the model domain")
         return thetas
 
-    # batch callbacks, implemented per model ---------------------------------
-    def log_lik_batch(self, theta, points):           # (M,)
+    # primitives, implemented per model ---------------------------------------
+    def phi(self, points):                            # (M, K)
         raise NotImplementedError
 
-    def score_batch(self, thetas, points):            # (T, M, d)
+    def phi_jac(self, points):                        # (M, K, p_free)
         raise NotImplementedError
 
-    def trace_batch(self, thetas, points):            # (T, M)
+    def loglik_coef(self, thetas):                    # (T, K)
         raise NotImplementedError
 
-    def quad_batch(self, thetas, points, vs):         # (T, L, M)
+    def score_coef(self, thetas):                     # (T, d, K)
         raise NotImplementedError
 
-    def jac_score_batch(self, thetas, points):        # (T, M, d, p_free)
-        raise NotImplementedError
-
-    def grad_trace_batch(self, thetas, points):       # (T, M, p_free)
-        raise NotImplementedError
-
-    def grad_quad_batch(self, thetas, points, vs):    # (T, L, M, p_free)
+    def hess_coef(self, thetas):                      # (T, K, d, d)
         raise NotImplementedError
 
     def log_prior(self, theta) -> float:
@@ -132,11 +153,43 @@ class LikelihoodModel:
     def prior_score_batch(self, thetas):              # (T, d)
         raise NotImplementedError
 
-    def prior_trace_batch(self, thetas):              # (T,)
+    def prior_hess_batch(self, thetas):               # (T, d, d)
         raise NotImplementedError
 
+    # per-point batch callbacks, derived from the primitives --------------------
+    def log_lik_batch(self, theta, points):           # (M,)
+        theta = np.asarray(theta, dtype=float).ravel()
+        return self.phi(points) @ self.loglik_coef(theta[None, :])[0]
+
+    def score_batch(self, thetas, points):            # (T, M, d)
+        return np.einsum("tdk,mk->tmd", self.score_coef(thetas), self.phi(points))
+
+    def trace_batch(self, thetas, points):            # (T, M)
+        return np.einsum("tkii->tk", self.hess_coef(thetas)) @ self.phi(points).T
+
+    def quad_batch(self, thetas, points, vs):         # (T, L, M)
+        return self._quad_coef(thetas, vs) @ self.phi(points).T
+
+    def jac_score_batch(self, thetas, points):        # (T, M, d, p_free)
+        return np.einsum("tdk,mkp->tmdp", self.score_coef(thetas), self.phi_jac(points))
+
+    def grad_trace_batch(self, thetas, points):       # (T, M, p_free)
+        trace = np.einsum("tkii->tk", self.hess_coef(thetas))
+        return np.einsum("tk,mkp->tmp", trace, self.phi_jac(points))
+
+    def grad_quad_batch(self, thetas, points, vs):    # (T, L, M, p_free)
+        return np.einsum("tlk,mkp->tlmp", self._quad_coef(thetas, vs), self.phi_jac(points))
+
+    def _quad_coef(self, thetas, vs):                 # (T, L, K): v^T B_k v
+        vs = np.asarray(vs, dtype=float)
+        return np.einsum("tkij,tli,tlj->tlk", self.hess_coef(thetas), vs, vs)
+
+    def prior_trace_batch(self, thetas):              # (T,)
+        return np.einsum("tii->t", self.prior_hess_batch(thetas))
+
     def prior_quad_batch(self, thetas, vs):           # (T, L)
-        raise NotImplementedError
+        vs = np.asarray(vs, dtype=float)
+        return np.einsum("tij,tli,tlj->tl", self.prior_hess_batch(thetas), vs, vs)
 
     # y-part initialisation hooks (regression models override)
     def predict_mean(self, theta, x_part):
@@ -188,173 +241,175 @@ class LikelihoodModel:
         return out
 
 
+class _StandardNormalPrior:
+    """Standard Gaussian prior on all parameters."""
+
+    def log_prior(self, theta) -> float:
+        return -0.5 * float(np.sum(np.asarray(theta) ** 2))
+
+    def prior_score_batch(self, thetas):
+        return -np.asarray(thetas, dtype=float)
+
+    def prior_hess_batch(self, thetas):
+        T, d = np.shape(thetas)
+        return np.broadcast_to(-np.eye(d), (T, d, d))
+
+
 # --- bundled likelihood models -----------------------------------------------
 
-class GaussianMeanLocation(LikelihoodModel):
+class GaussianMeanLocation(_StandardNormalPrior, LikelihoodModel):
     """Infer the mean of observed vectors: l(theta, x) = exp(-||theta - x||^2 / 2)
-    with a standard Gaussian prior. Score is x - theta, Hessian is -I."""
+    with a standard Gaussian prior. Score is x - theta, Hessian is -I.
+
+    Features phi(x) = (1, x, ||x||^2) with a(theta) = (-||theta||^2 / 2, theta, -1/2).
+    """
 
     def __init__(self, dim: int):
         self.param_dim = dim
         self.layout = Layout(p=dim, x_idx=tuple(range(dim)))
 
-    def log_lik_batch(self, theta, points):
-        return -0.5 * np.sum((np.asarray(points) - theta) ** 2, axis=1)
+    def phi(self, points):
+        x = np.asarray(points, dtype=float)
+        return np.column_stack([np.ones(len(x)), x, np.sum(x**2, axis=1)])
 
-    def score_batch(self, thetas, points):
-        return np.asarray(points)[None, :, :] - np.asarray(thetas)[:, None, :]
+    def phi_jac(self, points):
+        x = np.asarray(points, dtype=float)
+        d = self.param_dim
+        out = np.zeros((len(x), d + 2, d))
+        out[:, 1:d + 1, :] = np.eye(d)
+        out[:, d + 1, :] = 2.0 * x
+        return out
 
-    def trace_batch(self, thetas, points):
-        T, M = len(thetas), len(points)
-        return np.full((T, M), -float(self.param_dim))
+    def loglik_coef(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        return np.column_stack([-0.5 * np.sum(thetas**2, axis=1), thetas,
+                                np.full(len(thetas), -0.5)])
 
-    def quad_batch(self, thetas, points, vs):
-        vnorm = np.sum(np.asarray(vs) ** 2, axis=-1)  # (T, L)
-        return np.broadcast_to(-vnorm[:, :, None], vnorm.shape + (len(points),)).copy()
+    def score_coef(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        d = self.param_dim
+        out = np.zeros((len(thetas), d, d + 2))
+        out[:, :, 0] = -thetas
+        out[:, :, 1:d + 1] = np.eye(d)
+        return out
 
-    def jac_score_batch(self, thetas, points):
-        eye = np.eye(self.param_dim)
-        shape = (len(thetas), len(points), self.param_dim, self.param_dim)
-        return np.broadcast_to(eye, shape).copy()
-
-    def grad_trace_batch(self, thetas, points):
-        return np.zeros((len(thetas), len(points), self.param_dim))
-
-    def grad_quad_batch(self, thetas, points, vs):
-        vs = np.asarray(vs)
-        return np.zeros(vs.shape[:2] + (len(points), self.param_dim))
-
-    def log_prior(self, theta) -> float:
-        return -0.5 * float(np.sum(np.asarray(theta) ** 2))
-
-    def prior_score_batch(self, thetas):
-        return -np.asarray(thetas, dtype=float)
-
-    def prior_trace_batch(self, thetas):
-        return np.full(len(thetas), -float(self.param_dim))
-
-    def prior_quad_batch(self, thetas, vs):
-        return -np.sum(np.asarray(vs) ** 2, axis=-1)
+    def hess_coef(self, thetas):
+        d = self.param_dim
+        out = np.zeros((len(thetas), d + 2, d, d))
+        out[:, 0] = -np.eye(d)
+        return out
 
 
-class BayesLinReg(LikelihoodModel):
+class _GaussianRegression(LikelihoodModel):
+    """Gaussian regression of the response u on features psi(x) of the
+    x-part, with coefficients beta and noise scale s:
+
+        log l = c(s) - (<beta, psi(x)> - u)^2 / (2 s^2).
+
+    Expanding the square gives the features
+    phi(z) = (1, psi_i psi_j for i <= j, u psi, u^2) and
+    a = c(s) e_1 + q(beta) / s^2, with q quadratic in beta; ``_q``, ``_dq``
+    and ``_d2q`` hold q and its first and (constant) second derivatives.
+    """
+
+    def __init__(self, features, layout: Layout):
+        if layout.y_idx is None:
+            raise ValueError("a regression model requires a y coordinate in the layout")
+        if features.px != layout.px:
+            raise ValueError("feature map input size must match the layout x-part")
+        self.features = features
+        self.layout = layout
+        q = features.dim
+        self._I, self._J = np.triu_indices(q)
+        n_pairs = len(self._I)
+        # <beta, psi>^2 / 2 = sum over pairs i <= j of half_ij beta_i beta_j psi_i psi_j
+        self._half = np.where(self._I == self._J, 0.5, 1.0)
+        self._pairs = slice(1, 1 + n_pairs)
+        self._lin = slice(1 + n_pairs, 1 + n_pairs + q)
+        self.n_features = 2 + n_pairs + q
+        self._q_const = np.zeros(self.n_features)        # q's only constant: -u^2 / 2
+        self._q_const[-1] = -0.5
+        d2q = np.zeros((self.n_features, q, q))
+        rows = 1 + np.arange(n_pairs)
+        d2q[rows, self._I, self._J] -= self._half
+        d2q[rows, self._J, self._I] -= self._half
+        self._d2q = d2q
+
+    def _q(self, beta):                               # (T, K)
+        out = self._q_const[None, :].repeat(len(beta), axis=0)
+        out[:, self._pairs] = -self._half * beta[:, self._I] * beta[:, self._J]
+        out[:, self._lin] = beta
+        return out
+
+    def _dq(self, beta):                              # (T, q, K)
+        eye = np.eye(beta.shape[1])
+        out = np.zeros((len(beta), beta.shape[1], self.n_features))
+        out[:, :, self._pairs] = -self._half * (
+            eye[:, self._I] * beta[:, None, self._J]
+            + eye[:, self._J] * beta[:, None, self._I])
+        out[:, :, self._lin] = eye
+        return out
+
+    def _split(self, points):
+        pts = np.asarray(points, dtype=float)
+        x = pts[:, list(self.layout.x_idx)]
+        return x, pts[:, self.layout.y_idx], self.features.value(x)
+
+    def phi(self, points):
+        _, u, psi = self._split(points)
+        return np.column_stack([np.ones(len(u)), psi[:, self._I] * psi[:, self._J],
+                                u[:, None] * psi, u**2])
+
+    def phi_jac(self, points):
+        x, u, psi = self._split(points)
+        jpsi = self.features.jac(x)                   # (M, q, px)
+        xs, y = list(self.layout.x_idx), self.layout.y_idx
+        out = np.zeros((len(u), self.n_features, self.layout.p))
+        out[:, self._pairs, xs] = (jpsi[:, self._I] * psi[:, self._J, None]
+                                   + psi[:, self._I, None] * jpsi[:, self._J])
+        out[:, self._lin, xs] = u[:, None, None] * jpsi
+        out[:, self._lin, y] = psi
+        out[:, -1, y] = 2.0 * u
+        return out[:, :, list(self.layout.free_idx)]
+
+    def predict_mean(self, theta, x_part):
+        beta = np.asarray(theta, dtype=float).ravel()[: self.features.dim]
+        return self.features.value(np.atleast_2d(x_part)) @ beta
+
+
+class BayesLinReg(_StandardNormalPrior, _GaussianRegression):
     """Bayesian linear regression on a feature vector psi(x) with unit noise:
     l(theta, x) proportional to exp(-(  <theta, psi(x)> - y )^2 / 2) and a
     standard Gaussian prior on the coefficients."""
 
     def __init__(self, features, layout: Layout):
-        if layout.y_idx is None:
-            raise ValueError("BayesLinReg requires a y coordinate in the layout")
-        if features.px != layout.px:
-            raise ValueError("feature map input size must match the layout x-part")
-        self.features = features
-        self.layout = layout
+        super().__init__(features, layout)
         self.param_dim = features.dim
 
     @classmethod
     def identity_with_intercept(cls, x_dim: int) -> "BayesLinReg":
         """Data points (1, x_1..x_dim, y) with psi(x) the raw x-part."""
-        p = x_dim + 2
-        layout = Layout(
-            p=p,
-            x_idx=tuple(range(x_dim + 1)),
-            y_idx=x_dim + 1,
-            frozen_idx=(0,),
-        )
-        return cls(IdentityFeatures(x_dim + 1), layout)
+        return cls(*_intercept_regression(x_dim))
 
     @classmethod
     def polynomial(cls, degree: int) -> "BayesLinReg":
         """Data points (s, y) with psi(s) = (1, s, ..., s^degree)."""
-        layout = Layout(p=2, x_idx=(0,), y_idx=1)
-        return cls(PolynomialFeatures(degree), layout)
+        return cls(*_polynomial_regression(degree))
 
-    def _parts(self, points):
-        pts = np.asarray(points, dtype=float)
-        x = pts[:, list(self.layout.x_idx)]
-        u = pts[:, self.layout.y_idx]
-        psi = self.features.value(x)       # (M, d)
-        jpsi = self.features.jac(x)        # (M, d, px)
-        return x, u, psi, jpsi
+    def loglik_coef(self, thetas):
+        return self._q(np.asarray(thetas, dtype=float))
 
-    def _free_x_positions(self):
-        # positions within x_idx of the non-frozen x coordinates
-        return [k for k, i in enumerate(self.layout.x_idx) if i not in self.layout.frozen_idx]
+    def score_coef(self, thetas):
+        return self._dq(np.asarray(thetas, dtype=float))
 
-    def log_lik_batch(self, theta, points):
-        _, u, psi, _ = self._parts(points)
-        e = psi @ np.asarray(theta) - u
-        return -0.5 * e**2
-
-    def score_batch(self, thetas, points):
-        _, u, psi, _ = self._parts(points)
-        e = np.asarray(thetas) @ psi.T - u[None, :]   # (T, M)
-        return -psi[None, :, :] * e[:, :, None]
-
-    def trace_batch(self, thetas, points):
-        _, _, psi, _ = self._parts(points)
-        return np.broadcast_to(-np.sum(psi**2, axis=1), (len(thetas), len(points))).copy()
-
-    def quad_batch(self, thetas, points, vs):
-        _, _, psi, _ = self._parts(points)
-        a = np.einsum("tld,md->tlm", np.asarray(vs), psi)
-        return -(a**2)
-
-    def jac_score_batch(self, thetas, points):
-        thetas = np.asarray(thetas)
-        _, u, psi, jpsi = self._parts(points)
-        e = thetas @ psi.T - u[None, :]                         # (T, M)
-        tj = np.einsum("td,mdp->tmp", thetas, jpsi)             # (T, M, px)
-        # d score_i / d x_p = -(dpsi_i/dx_p * e + psi_i * <theta, dpsi/dx_p>)
-        jac_x = -(
-            jpsi[None, :, :, :] * e[:, :, None, None]
-            + psi[None, :, :, None] * tj[:, :, None, :]
-        )                                                       # (T, M, d, px)
-        free_x = self._free_x_positions()
-        cols = [jac_x[:, :, :, k] for k in free_x]
-        # d score / d y = psi
-        cols.append(np.broadcast_to(psi[None, :, :], (len(thetas), len(psi), self.param_dim)).copy())
-        return np.stack(cols, axis=-1)
-
-    def grad_trace_batch(self, thetas, points):
-        _, _, psi, jpsi = self._parts(points)
-        g_x = -2.0 * np.einsum("md,mdp->mp", psi, jpsi)         # (M, px)
-        free_x = self._free_x_positions()
-        cols = [np.broadcast_to(g_x[:, k], (len(thetas), len(psi))).copy() for k in free_x]
-        cols.append(np.zeros((len(thetas), len(psi))))
-        return np.stack(cols, axis=-1)
-
-    def grad_quad_batch(self, thetas, points, vs):
-        vs = np.asarray(vs)
-        _, _, psi, jpsi = self._parts(points)
-        a = np.einsum("tld,md->tlm", vs, psi)                   # (T, L, M)
-        b = np.einsum("tld,mdp->tlmp", vs, jpsi)                # (T, L, M, px)
-        g_x = -2.0 * a[..., None] * b
-        free_x = self._free_x_positions()
-        cols = [g_x[..., k] for k in free_x]
-        cols.append(np.zeros(a.shape))
-        return np.stack(cols, axis=-1)
-
-    def log_prior(self, theta) -> float:
-        return -0.5 * float(np.sum(np.asarray(theta) ** 2))
-
-    def prior_score_batch(self, thetas):
-        return -np.asarray(thetas, dtype=float)
-
-    def prior_trace_batch(self, thetas):
-        return np.full(len(thetas), -float(self.param_dim))
-
-    def prior_quad_batch(self, thetas, vs):
-        return -np.sum(np.asarray(vs) ** 2, axis=-1)
-
-    def predict_mean(self, theta, x_part):
-        return self.features.value(np.atleast_2d(x_part)) @ np.asarray(theta)
+    def hess_coef(self, thetas):
+        return np.broadcast_to(self._d2q, (len(thetas),) + self._d2q.shape)
 
     def noise_scale(self, theta) -> float:
         return 1.0
 
 
-class KidScoreModel(LikelihoodModel):
+class KidScoreModel(_GaussianRegression):
     """Linear regression with unknown noise scale, theta = (beta_0, beta_1, sigma).
 
     Data points are (1, r, u): fixed intercept, covariate score, response
@@ -367,112 +422,45 @@ class KidScoreModel(LikelihoodModel):
             raise ValueError("prior_scale must be positive")
         self.prior_scale = prior_scale
         self.param_dim = 3
-        self.layout = Layout(
+        super().__init__(IdentityFeatures(2), Layout(
             p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,),
             names=("intercept", "r", "u"),
-        )
+        ))
 
-    def _domain_ok(self, thetas):
-        return bool(np.all(thetas[:, 2] > 0))
+    def in_domain(self, thetas):
+        return bool((thetas[:, 2] > 0).all())
 
-    def _parts(self, thetas, points):
+    @staticmethod
+    def _split_theta(thetas):
         thetas = np.asarray(thetas, dtype=float)
-        pts = np.asarray(points, dtype=float)
-        beta = thetas[:, :2]
-        sigma = thetas[:, 2]
-        x = pts[:, :2]
-        u = pts[:, 2]
-        e = beta @ x.T - u[None, :]    # (T, M)
-        return beta, sigma, x, u, e
+        return thetas[:, :2], thetas[:, 2]
 
-    def log_lik_batch(self, theta, points):
-        theta = np.asarray(theta, dtype=float)
-        _, sigma, _, _, e = self._parts(theta[None, :], points)
-        s = sigma[0]
-        return -0.5 * np.log(2.0 * np.pi * s**2) - e[0] ** 2 / (2.0 * s**2)
-
-    def score_batch(self, thetas, points):
-        _, sigma, x, _, e = self._parts(thetas, points)
-        inv2 = (1.0 / sigma**2)[:, None]
-        inv3 = (1.0 / sigma**3)[:, None]
-        s_beta = -inv2[:, :, None] * e[:, :, None] * x[None, :, :]
-        s_sigma = inv3 * e**2 - (1.0 / sigma)[:, None]
-        return np.concatenate([s_beta, s_sigma[:, :, None]], axis=2)
-
-    def trace_batch(self, thetas, points):
-        _, sigma, x, _, e = self._parts(thetas, points)
-        xx = np.sum(x**2, axis=1)
-        return (
-            -xx[None, :] / (sigma**2)[:, None]
-            - 3.0 * e**2 / (sigma**4)[:, None]
-            + (1.0 / sigma**2)[:, None]
-        )
-
-    def quad_batch(self, thetas, points, vs):
-        vs = np.asarray(vs)
-        _, sigma, x, _, e = self._parts(thetas, points)
-        vb = vs[..., :2]
-        vsig = vs[..., 2]
-        a = np.einsum("tli,mi->tlm", vb, x)
-        inv2 = (1.0 / sigma**2)[:, None, None]
-        inv3 = (1.0 / sigma**3)[:, None, None]
-        inv4 = (1.0 / sigma**4)[:, None, None]
-        return (
-            -inv2 * a**2
-            + 4.0 * inv3 * vsig[:, :, None] * a * e[:, None, :]
-            + vsig[:, :, None] ** 2 * (-3.0 * inv4 * e[:, None, :] ** 2 + inv2)
-        )
-
-    def jac_score_batch(self, thetas, points):
-        beta, sigma, x, _, e = self._parts(thetas, points)
-        T, M = e.shape
-        b1 = beta[:, 1]
-        inv2 = (1.0 / sigma**2)[:, None]
-        inv3 = (1.0 / sigma**3)[:, None]
-        out = np.zeros((T, M, 3, 2))
-        # d(beta-score)/dr = -(1/s^2) (e * e_r + beta_1 * x), with e_r = (0, 1)
-        out[:, :, 0, 0] = -inv2 * b1[:, None] * x[None, :, 0]
-        out[:, :, 1, 0] = -inv2 * (e + b1[:, None] * x[None, :, 1])
-        # d(sigma-score)/dr = (2/s^3) e beta_1
-        out[:, :, 2, 0] = 2.0 * inv3 * e * b1[:, None]
-        # d(beta-score)/du = (1/s^2) x;   d(sigma-score)/du = -(2/s^3) e
-        out[:, :, 0, 1] = inv2 * x[None, :, 0]
-        out[:, :, 1, 1] = inv2 * x[None, :, 1]
-        out[:, :, 2, 1] = -2.0 * inv3 * e
+    # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2
+    def loglik_coef(self, thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        s2 = thetas[:, 2:] ** 2
+        out = self._q(thetas[:, :2]) / s2
+        out[:, :1] = -0.5 * np.log(2.0 * np.pi * s2)
         return out
 
-    def grad_trace_batch(self, thetas, points):
-        beta, sigma, x, _, e = self._parts(thetas, points)
-        T, M = e.shape
-        b1 = beta[:, 1]
-        inv2 = (1.0 / sigma**2)[:, None]
-        inv4 = (1.0 / sigma**4)[:, None]
-        out = np.zeros((T, M, 2))
-        out[:, :, 0] = -2.0 * inv2 * x[None, :, 1] - 6.0 * inv4 * e * b1[:, None]
-        out[:, :, 1] = 6.0 * inv4 * e
+    def score_coef(self, thetas):
+        beta, s = self._split_theta(thetas)
+        out = np.empty((len(s), 3, self.n_features))
+        out[:, :2] = self._dq(beta) / (s**2)[:, None, None]
+        out[:, 2] = -2.0 * self._q(beta) / (s**3)[:, None]
+        out[:, 2, 0] = -1.0 / s
         return out
 
-    def grad_quad_batch(self, thetas, points, vs):
-        vs = np.asarray(vs)
-        beta, sigma, x, _, e = self._parts(thetas, points)
-        vb = vs[..., :2]
-        vsig = vs[..., 2]
-        b1 = beta[:, 1]
-        a = np.einsum("tli,mi->tlm", vb, x)                     # (T, L, M)
-        inv2 = (1.0 / sigma**2)[:, None, None]
-        inv3 = (1.0 / sigma**3)[:, None, None]
-        inv4 = (1.0 / sigma**4)[:, None, None]
-        eTM = e[:, None, :]
-        vs1 = vsig[:, :, None]
-        vb1 = vb[..., 1][:, :, None]
-        b1T = b1[:, None, None]
-        g_r = (
-            -2.0 * inv2 * a * vb1
-            + 4.0 * inv3 * vs1 * (vb1 * eTM + a * b1T)
-            - 6.0 * inv4 * vs1**2 * eTM * b1T
-        )
-        g_u = -4.0 * inv3 * vs1 * a + 6.0 * inv4 * vs1**2 * eTM
-        return np.stack([g_r, g_u], axis=-1)
+    def hess_coef(self, thetas):
+        beta, s = self._split_theta(thetas)
+        out = np.empty((len(s), self.n_features, 3, 3))
+        out[:, :, :2, :2] = self._d2q / (s**2)[:, None, None, None]
+        cross = -2.0 * self._dq(beta).transpose(0, 2, 1) / (s**3)[:, None, None]
+        out[:, :, :2, 2] = cross
+        out[:, :, 2, :2] = cross
+        out[:, :, 2, 2] = 6.0 * self._q(beta) / (s**4)[:, None]
+        out[:, 0, 2, 2] = 1.0 / s**2
+        return out
 
     def log_prior(self, theta) -> float:
         sigma = float(np.asarray(theta).ravel()[2])
@@ -485,18 +473,12 @@ class KidScoreModel(LikelihoodModel):
         out[:, 2] = -2.0 * sigma / (self.prior_scale**2 + sigma**2)
         return out
 
-    def prior_trace_batch(self, thetas):
+    def prior_hess_batch(self, thetas):
         sigma = np.asarray(thetas, dtype=float)[:, 2]
         g2 = self.prior_scale**2
-        return 2.0 * (sigma**2 - g2) / (g2 + sigma**2) ** 2
-
-    def prior_quad_batch(self, thetas, vs):
-        vs = np.asarray(vs)
-        return self.prior_trace_batch(thetas)[:, None] * vs[..., 2] ** 2
-
-    def predict_mean(self, theta, x_part):
-        beta = np.asarray(theta, dtype=float)[:2]
-        return np.atleast_2d(x_part) @ beta
+        out = np.zeros((len(sigma), 3, 3))
+        out[:, 2, 2] = 2.0 * (sigma**2 - g2) / (g2 + sigma**2) ** 2
+        return out
 
     def noise_scale(self, theta) -> float:
         return float(np.asarray(theta).ravel()[2])
@@ -520,6 +502,9 @@ class LossModel:
         raise NotImplementedError
 
     def jac_data_batch(self, theta, points):        # (M, d, p_free)
+        return self.grad_and_jac_batch(theta, points)[1]
+
+    def grad_and_jac_batch(self, theta, points):    # (M, d), (M, d, p_free)
         raise NotImplementedError
 
     def reg_value(self, theta) -> float:
@@ -545,13 +530,14 @@ class LossModel:
 
 
 class SquaredErrorLoss(LossModel):
-    """l(theta, x) = (<theta, psi(x)> - y)^2, optional ridge regularizer."""
+    """l(theta, x) = (<theta, psi(x)> - y)^2, optional ridge regularizer.
+
+    This is -2 times the unit-noise regression log-likelihood of
+    ``BayesLinReg``, so its gradients come from that feature factorisation.
+    """
 
     def __init__(self, features, layout: Layout, ridge: float = 0.0):
-        if layout.y_idx is None:
-            raise ValueError("SquaredErrorLoss requires a y coordinate")
-        if features.px != layout.px:
-            raise ValueError("feature map input size must match the layout x-part")
+        self._lik = BayesLinReg(features, layout)
         self.features = features
         self.layout = layout
         self.param_dim = features.dim
@@ -559,47 +545,26 @@ class SquaredErrorLoss(LossModel):
 
     @classmethod
     def identity_with_intercept(cls, x_dim: int, ridge: float = 0.0):
-        p = x_dim + 2
-        layout = Layout(p=p, x_idx=tuple(range(x_dim + 1)), y_idx=x_dim + 1,
-                        frozen_idx=(0,))
-        return cls(IdentityFeatures(x_dim + 1), layout, ridge)
+        return cls(*_intercept_regression(x_dim), ridge)
 
     @classmethod
     def polynomial(cls, degree: int, ridge: float = 0.0):
-        layout = Layout(p=2, x_idx=(0,), y_idx=1)
-        return cls(PolynomialFeatures(degree), layout, ridge)
-
-    def _parts(self, theta, points):
-        pts = np.asarray(points, dtype=float)
-        x = pts[:, list(self.layout.x_idx)]
-        u = pts[:, self.layout.y_idx]
-        psi = self.features.value(x)
-        jpsi = self.features.jac(x)
-        e = psi @ np.asarray(theta, dtype=float) - u
-        return x, u, psi, jpsi, e
-
-    def _free_x_positions(self):
-        return [k for k, i in enumerate(self.layout.x_idx) if i not in self.layout.frozen_idx]
+        return cls(*_polynomial_regression(degree), ridge)
 
     def loss_batch(self, theta, points):
-        _, _, _, _, e = self._parts(theta, points)
-        return e**2
+        return -2.0 * self._lik.log_lik_batch(theta, points)
 
     def grad_theta_batch(self, theta, points):
-        _, _, psi, _, e = self._parts(theta, points)
-        return 2.0 * psi * e[:, None]
+        A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
+        return -2.0 * self._lik.phi(points) @ A.T
 
-    def jac_data_batch(self, theta, points):
-        theta = np.asarray(theta, dtype=float)
-        _, _, psi, jpsi, e = self._parts(theta, points)
-        tj = np.einsum("d,mdp->mp", theta, jpsi)
-        jac_x = 2.0 * (jpsi * e[:, None, None] + psi[:, :, None] * tj[:, None, :])
-        cols = [jac_x[:, :, k] for k in self._free_x_positions()]
-        cols.append(-2.0 * psi)
-        return np.stack(cols, axis=-1)
+    def grad_and_jac_batch(self, theta, points):
+        A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
+        return (-2.0 * self._lik.phi(points) @ A.T,
+                -2.0 * np.einsum("dk,mkp->mdp", A, self._lik.phi_jac(points)))
 
     def predict_mean(self, theta, x_part):
-        return self.features.value(np.atleast_2d(x_part)) @ np.asarray(theta)
+        return self._lik.predict_mean(theta, x_part)
 
 
 class LogisticLoss(LossModel):
@@ -630,7 +595,7 @@ class LogisticLoss(LossModel):
         x, y, _, s = self._parts(theta, points)
         return -(y * s)[:, None] * x
 
-    def jac_data_batch(self, theta, points):
+    def grad_and_jac_batch(self, theta, points):
         theta = np.asarray(theta, dtype=float)
         x, y, _, s = self._parts(theta, points)
         ds = s * (1.0 - s)
@@ -642,7 +607,7 @@ class LogisticLoss(LossModel):
         # d grad_i / d y = -s x_i + y s(1-s) <theta, x> x_i
         tx = x @ theta
         out[:, :, d] = (-s + y * ds * tx)[:, None] * x
-        return out
+        return -(y * s)[:, None] * x, out
 
 
 # --- finite-difference audit ---------------------------------------------------
@@ -690,6 +655,18 @@ def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
     return AuditReport(max_err, checks, tol)
 
 
+def _central(f, x, steps, coords=None):
+    """Central differences of f at x along each coordinate in ``coords``
+    (default: all), stacked along the last axis."""
+    cols = []
+    for i in range(len(x)) if coords is None else coords:
+        xp, xm = x.copy(), x.copy()
+        xp[i] += steps[i]
+        xm[i] -= steps[i]
+        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * steps[i]))
+    return np.stack(cols, axis=-1)
+
+
 def _audit_likelihood(model, theta, x, h_scale, v, checks):
     d = model.param_dim
     if v is None:
@@ -697,31 +674,17 @@ def _audit_likelihood(model, theta, x, h_scale, v, checks):
     v = np.asarray(v, dtype=float)
     hs_t = _steps(theta, h_scale)
 
-    # score vs FD of log_lik
-    num = np.empty(d)
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        num[i] = (model.log_lik(tp, x) - model.log_lik(tm, x)) / (2 * hs_t[i])
-    checks["score_theta"] = _rel_err(model.score_theta(theta, x), num)
+    def prior_score(t):
+        return model.prior_terms(t)["score"]
 
-    # prior score vs FD of log_prior
-    num = np.empty(d)
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        num[i] = (model.log_prior(tp) - model.log_prior(tm)) / (2 * hs_t[i])
-    checks["prior_score"] = _rel_err(model.prior_terms(theta)["score"], num)
+    # score and prior score vs FD of log_lik and log_prior
+    num = _central(lambda t: model.log_lik(t, x), theta, hs_t)
+    checks["score_theta"] = _rel_err(model.score_theta(theta, x), num)
+    num = _central(model.log_prior, theta, hs_t)
+    checks["prior_score"] = _rel_err(prior_score(theta), num)
 
     # trace vs sum of FD diagonal of the score Jacobian
-    tr = 0.0
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        tr += (model.score_theta(tp, x)[i] - model.score_theta(tm, x)[i]) / (2 * hs_t[i])
+    tr = np.trace(_central(lambda t: model.score_theta(t, x), theta, hs_t))
     checks["trace"] = _rel_err(model.curvature(theta, x), tr)
 
     # quad vs directional FD of <v, score>
@@ -731,65 +694,34 @@ def _audit_likelihood(model, theta, x, h_scale, v, checks):
     checks["quad"] = _rel_err(model.curvature(theta, x, v), (qp - qm) / (2 * h))
 
     # prior trace / quad via FD of prior score
-    tr = 0.0
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        tr += (model.prior_terms(tp)["score"][i] - model.prior_terms(tm)["score"][i]) / (2 * hs_t[i])
+    tr = np.trace(_central(prior_score, theta, hs_t))
     checks["prior_trace"] = _rel_err(model.prior_terms(theta)["trace"], tr)
-    qp = v @ model.prior_terms(theta + h * v)["score"]
-    qm = v @ model.prior_terms(theta - h * v)["score"]
+    qp = v @ prior_score(theta + h * v)
+    qm = v @ prior_score(theta - h * v)
     checks["prior_quad"] = _rel_err(model.prior_terms(theta, v)["quad"], (qp - qm) / (2 * h))
 
     # data derivatives vs FD over the free coordinates
     free = model.layout.free_idx
     hs_x = _steps(x, h_scale)
     deriv = model.data_derivatives(theta, x, v)
-    jac_num = np.empty((d, len(free)))
-    gtr_num = np.empty(len(free))
-    gq_num = np.empty(len(free))
-    for j, idx in enumerate(free):
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += hs_x[idx]
-        xm[idx] -= hs_x[idx]
-        jac_num[:, j] = (model.score_theta(theta, xp) - model.score_theta(theta, xm)) / (2 * hs_x[idx])
-        gtr_num[j] = (model.curvature(theta, xp) - model.curvature(theta, xm)) / (2 * hs_x[idx])
-        gq_num[j] = (model.curvature(theta, xp, v) - model.curvature(theta, xm, v)) / (2 * hs_x[idx])
+    jac_num = _central(lambda z: model.score_theta(theta, z), x, hs_x, free)
+    gtr_num = _central(lambda z: model.curvature(theta, z), x, hs_x, free)
+    gq_num = _central(lambda z: model.curvature(theta, z, v), x, hs_x, free)
     checks["jac_score"] = _rel_err(deriv["jac_score"], jac_num)
     checks["grad_trace"] = _rel_err(deriv["grad_trace"], gtr_num)
     checks["grad_quad"] = _rel_err(deriv["grad_quad"], gq_num)
 
 
 def _audit_loss(model, theta, x, h_scale, checks):
-    d = model.param_dim
     hs_t = _steps(theta, h_scale)
     terms = model.loss_terms(theta, x)
 
-    num = np.empty(d)
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        num[i] = (model.loss_terms(tp, x)["value"] - model.loss_terms(tm, x)["value"]) / (2 * hs_t[i])
+    num = _central(lambda t: model.loss_terms(t, x)["value"], theta, hs_t)
     checks["grad_theta"] = _rel_err(terms["grad_theta"], num)
-
-    num = np.empty(d)
-    for i in range(d):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hs_t[i]
-        tm[i] -= hs_t[i]
-        num[i] = (model.reg_value(tp) - model.reg_value(tm)) / (2 * hs_t[i])
+    num = _central(model.reg_value, theta, hs_t)
     checks["reg_grad"] = _rel_err(model.reg_grad(theta), num)
 
-    free = model.layout.free_idx
     hs_x = _steps(x, h_scale)
-    jac_num = np.empty((d, len(free)))
-    for j, idx in enumerate(free):
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += hs_x[idx]
-        xm[idx] -= hs_x[idx]
-        gp = model.loss_terms(theta, xp)["grad_theta"]
-        gm = model.loss_terms(theta, xm)["grad_theta"]
-        jac_num[:, j] = (gp - gm) / (2 * hs_x[idx])
+    jac_num = _central(lambda z: model.loss_terms(theta, z)["grad_theta"], x, hs_x,
+                       model.layout.free_idx)
     checks["jac_data"] = _rel_err(terms["jac_data"], jac_num)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import PosteriorDraws
-from .models import DomainError
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,8 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thinning < 0:
             raise ValueError("thinning must be >= 0")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
+            raise ValueError("step_scale must be finite and positive")
 
 
 def exact_gaussian_mean_draws(X, T: int, seed: int = 0) -> PosteriorDraws:
@@ -54,18 +53,19 @@ def exact_gaussian_mean_draws(X, T: int, seed: int = 0) -> PosteriorDraws:
 def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     """Random-walk Metropolis chain targeting the posterior of ``model``
     given dataset ``X``. Proposals are isotropic Gaussian; proposals outside
-    the model domain are auto-rejected."""
+    the model domain are auto-rejected. The dataset enters the likelihood
+    only through its feature sums, so it is reduced to them once and each
+    proposal costs O(K), not O(N)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if config.init is None:
         raise ValueError("rwm_draws needs an initial parameter vector")
     theta = model.check_theta(np.asarray(config.init, dtype=float))
+    phi_data = model.phi(X).sum(axis=0)
 
     def log_post(t):
-        try:
-            model.check_theta(t)
-        except DomainError:
+        if not model.in_domain(t[None, :]):
             return -np.inf
-        return float(np.sum(model.log_lik_batch(t, X))) + model.log_prior(t)
+        return float(model.loglik_coef(t[None, :])[0] @ phi_data) + model.log_prior(t)
 
     lp = log_post(theta)
     if not np.isfinite(lp):
@@ -89,7 +89,8 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
         if step >= burn_in and (step - burn_in) % thin == thin - 1:
             kept[n_kept] = theta
             n_kept += 1
-    assert n_kept == config.T
+    if n_kept != config.T:
+        raise RuntimeError(f"rwm chain kept {n_kept} draws, expected {config.T}")
     return PosteriorDraws(kept, source="rwm", acceptance_rate=accepted / n_steps)
 
 

@@ -2,7 +2,7 @@
 (run pytest with -s to see them) and asserts the stated tolerance.
 
 The two attack reproductions (criteria 5 and 6) are full optimization runs
-and take a few minutes each; everything else finishes in seconds.
+and take under a minute each; everything else finishes in seconds.
 """
 
 import numpy as np

@@ -205,3 +205,70 @@ class TestReportCommand:
             "report", "--measure", str(measure_path),
             "--data", data_path, "--layout", str(layout_path)])
         assert result.exit_code == 2
+
+
+def _bayes_cfg(tmp_path, data_path):
+    return {
+        "model": {"name": "gaussian_mean", "dim": 2},
+        "data": {"path": data_path},
+        "sampler": {"kind": "rwm", "T": 10, "burn_in": 10, "seed": 1, "init": [0.0, 0.0]},
+        "attack": {"objective": "sfd", "M": 3, "iters": 5, "L": 2, "seed": 2},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+
+
+def _nonbayes_cfg(tmp_path, data_path):
+    return {
+        "model": {"name": "logistic", "dim": 1, "ridge": 0.1},
+        "data": {"path": data_path},
+        "sampler": {"kind": "rwm", "T": 10, "burn_in": 10, "seed": 1, "init": [0.0]},
+        "attack": {"objective": "nonbayes", "M": 3, "iters": 5, "seed": 2,
+                   "theta_star": [0.5]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+
+
+# (case id, base config, section, key, bad value)
+BAD_ATTACK_INPUTS = [
+    ("M_string", _bayes_cfg, "attack", "M", "5"),
+    ("M_float", _bayes_cfg, "attack", "M", 2.5),
+    ("iters_bool", _nonbayes_cfg, "attack", "iters", True),
+    ("L_float", _bayes_cfg, "attack", "L", 2.0),
+    ("trace_every_string", _nonbayes_cfg, "attack", "trace_every", "10"),
+    ("seed_bool", _bayes_cfg, "attack", "seed", False),
+    ("sampler_T_string", _bayes_cfg, "sampler", "T", "10"),
+    ("sampler_burn_in_float", _bayes_cfg, "sampler", "burn_in", 2.5),
+    ("model_dim_string", _bayes_cfg, "model", "dim", "2"),
+    ("lr_w_nan", _nonbayes_cfg, "attack", "lr_w", float("nan")),
+    ("lr_z_infinite", _bayes_cfg, "attack", "lr_z", float("inf")),
+    ("lr_w_negative", _bayes_cfg, "attack", "lr_w", -1e-3),
+    ("step_scale_nan", _bayes_cfg, "sampler", "step_scale", float("nan")),
+    ("loss_model_with_fd", _nonbayes_cfg, "attack", "objective", "fd"),
+    ("loss_model_with_sfd", _nonbayes_cfg, "model", "name", "squared_error"),
+    ("likelihood_model_with_nonbayes", _bayes_cfg, "attack", "objective", "nonbayes"),
+    ("theta_star_too_short", _nonbayes_cfg, "attack", "theta_star", []),
+    ("theta_star_too_long", _nonbayes_cfg, "attack", "theta_star", [0.5, 1.0]),
+    ("theta_star_not_numbers", _nonbayes_cfg, "attack", "theta_star", ["a"]),
+    ("sampler_init_wrong_length", _bayes_cfg, "sampler", "init", [0.0]),
+]
+
+
+class TestAttackConfigErrors:
+    @pytest.mark.parametrize("case,base,section,key,value", BAD_ATTACK_INPUTS,
+                             ids=[c[0] for c in BAD_ATTACK_INPUTS])
+    def test_bad_input_is_one_line_error_with_exit_2(self, runner, tmp_path, case, base,
+                                                     section, key, value):
+        _, data_path = _gaussian_dataset(tmp_path, seed=13)
+        cfg_dict = base(tmp_path, data_path)
+        cfg_dict[section][key] = value
+        if case == "loss_model_with_sfd":
+            cfg_dict["attack"]["objective"] = "sfd"
+        if case == "likelihood_model_with_nonbayes":
+            cfg_dict["attack"]["theta_star"] = [0.0, 0.0]
+        cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out" / "trace.csv").exists()

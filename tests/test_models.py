@@ -149,6 +149,48 @@ class TestLossModels:
         np.testing.assert_array_equal(m.reg_grad(theta), [1.0, -2.0])
 
 
+def _gauss_logpdf(x, mean, sd):
+    return -0.5 * ((x - mean) / sd) ** 2 - np.log(sd) - 0.5 * np.log(2.0 * np.pi)
+
+
+def _poly3(s):
+    return np.stack([np.ones_like(s), s, s**2, s**3], axis=-1)
+
+
+# (model, theta sampler, density written out per point). The unit-noise
+# models drop the constant Gaussian normaliser from their log-likelihood.
+LIKELIHOOD_DENSITIES = [
+    ("gaussian_mean", GaussianMeanLocation(3), lambda rng: rng.standard_normal(3),
+     lambda th, pts: _gauss_logpdf(pts, th, 1.0).sum(axis=1) + 1.5 * np.log(2 * np.pi)),
+    ("bayes_linreg_identity", BayesLinReg.identity_with_intercept(2),
+     lambda rng: rng.standard_normal(3),
+     lambda th, pts: _gauss_logpdf(pts[:, 3], pts[:, :3] @ th, 1.0) + 0.5 * np.log(2 * np.pi)),
+    ("bayes_linreg_poly", BayesLinReg.polynomial(3), lambda rng: rng.standard_normal(4),
+     lambda th, pts: _gauss_logpdf(pts[:, 1], _poly3(pts[:, 0]) @ th, 1.0)
+     + 0.5 * np.log(2 * np.pi)),
+    ("kidscore", KidScoreModel(), lambda rng: np.array([*rng.standard_normal(2), 0.3 + rng.random()]),
+     lambda th, pts: _gauss_logpdf(pts[:, 2], pts[:, :2] @ th[:2], th[2])),
+]
+
+
+class TestLogLikelihoodDensity:
+    """The log-likelihood coefficients a(theta) against the density written
+    out with plain numpy; the central-difference audit only sees their
+    theta-derivatives."""
+
+    @pytest.mark.parametrize("name,model,draw_theta,density", LIKELIHOOD_DENSITIES,
+                             ids=[c[0] for c in LIKELIHOOD_DENSITIES])
+    def test_log_lik_batch_matches_density(self, name, model, draw_theta, density):
+        rng = np.random.default_rng(list(name.encode()))
+        for _ in range(20):
+            theta = draw_theta(rng)
+            pts = 1.5 * rng.standard_normal((7, model.layout.p))
+            for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
+                pts[:, idx] = val
+            np.testing.assert_allclose(model.log_lik_batch(theta, pts),
+                                       density(theta, pts), rtol=1e-12, atol=1e-12)
+
+
 ALL_MODELS = [
     ("gaussian_mean", GaussianMeanLocation(3)),
     ("bayes_linreg_identity", BayesLinReg.identity_with_intercept(2)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from datarecon.models import GaussianMeanLocation, KidScoreModel
+from datarecon.models import BayesLinReg, GaussianMeanLocation, KidScoreModel
 from datarecon.samplers import (
     SamplerConfig,
     exact_gaussian_mean_draws,
@@ -93,6 +93,40 @@ class TestRwm:
         draws = rwm_draws(GaussianMeanLocation(1), X, cfg)
         assert np.max(np.abs(draws.draws - 5.0)) < 1e-5
 
+    @pytest.mark.parametrize("name", ["kidscore", "bayes_linreg_poly"])
+    def test_feature_sum_chain_matches_per_point_chain(self, name):
+        # the chain evaluates the likelihood from the data's feature sums;
+        # the same chain with the per-point log-likelihood summed over the
+        # data must accept the same proposals
+        rng = np.random.default_rng(list(name.encode()))
+        N = 40
+        s = rng.standard_normal(N)
+        y = 0.2 + 0.5 * s + rng.standard_normal(N)
+        if name == "kidscore":
+            model, X, init = KidScoreModel(), np.column_stack([np.ones(N), s, y]), (0.0, 0.0, 1.0)
+        else:
+            model, X, init = BayesLinReg.polynomial(3), np.column_stack([s, y]), (0.0,) * 4
+        cfg = SamplerConfig(T=100, burn_in=100, thinning=2, step_scale=0.2, seed=15, init=init)
+        draws = rwm_draws(model, X, cfg)
+
+        def log_post(t):
+            if not model.in_domain(t[None, :]):
+                return -np.inf
+            return float(np.sum(model.log_lik_batch(t, X))) + model.log_prior(t)
+
+        step_rng = np.random.default_rng(cfg.seed)
+        theta = np.array(init)
+        lp = log_post(theta)
+        kept = []
+        for step in range(cfg.burn_in + cfg.T * cfg.thinning):
+            prop = theta + cfg.step_scale * step_rng.standard_normal(model.param_dim)
+            lp_prop = log_post(prop)
+            if np.log(step_rng.random()) < lp_prop - lp:
+                theta, lp = prop, lp_prop
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == cfg.thinning - 1:
+                kept.append(theta)
+        np.testing.assert_array_equal(draws.draws, np.array(kept))
+
 
 class TestSamplerConfig:
     def test_bad_values_rejected(self):
@@ -102,6 +136,8 @@ class TestSamplerConfig:
             SamplerConfig(T=5, burn_in=-1)
         with pytest.raises(ValueError):
             SamplerConfig(T=5, step_scale=0.0)
+        with pytest.raises(ValueError):
+            SamplerConfig(T=5, step_scale=float("nan"))
 
 
 class TestDrawsIo:
