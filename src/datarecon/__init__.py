@@ -21,10 +21,7 @@ from .divergence import (
     fd_ibp_objective,
     loss_gradient_gap,
     mmd_squared,
-    model_kernel,
-    nonbayes_objective,
     sfd_objective,
-    weighted_posterior_score,
 )
 from .measures import (
     Layout,

@@ -12,7 +12,6 @@ Coordinates marked frozen in the layout receive no gradient and never move.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +23,16 @@ from .measures import (
     build_measure,
     recon_statistics,
     stat_errors,
+    write_rows,
 )
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+class AttackDiverged(RuntimeError):
+    """The objective became non-finite during an attack."""
 
 
 @dataclass(frozen=True)
@@ -246,11 +250,7 @@ class AttackTrace:
             yield row
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns())
-            for row in self.rows():
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_rows(path, self.columns(), self.rows())
 
 
 def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = None,
@@ -258,7 +258,8 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
                ) -> tuple[AttackTrace, WeightedEmpiricalMeasure]:
     """Run the full reconstruction: initialise, iterate gradient steps with
     Adam, record trace checkpoints. ``target_points`` (test mode only)
-    enables per-checkpoint relative-error reporting against the true data."""
+    enables per-checkpoint relative-error reporting against the true data.
+    Raises ``AttackDiverged`` at the first non-finite objective value."""
     layout = model.layout
     measure = initialize_pseudo(model, config, draws=draws, theta_star=theta_star)
     free_idx = list(layout.free_idx)
@@ -309,7 +310,7 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
         meas = current_measure()
         value, gw, gz = evaluate(meas, slices, True)
         if not np.isfinite(value):
-            raise RuntimeError(f"objective became non-finite at iteration {it}")
+            raise AttackDiverged(f"objective became non-finite at iteration {it}")
         if it % config.trace_every == 0:
             record(it, value, meas)
         grads = np.concatenate([gw, gz.ravel()])

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .attack import AttackConfig, run_attack
+from .attack import AttackConfig, AttackDiverged, run_attack
 from .divergence import PosteriorDraws
 from .measures import (
     Layout,
@@ -253,9 +253,13 @@ def attack(config_path):
         if trace_target:
             target_points = _load_data(cfg, model)
 
-        trace, measure = run_attack(model, acfg, draws=draws,
-                                    theta_star=theta_star,
-                                    target_points=target_points)
+        # run_attack stops at the first non-finite objective, which is reported
+        # as one error line; numpy's overflow warnings on the way would only
+        # repeat it
+        with np.errstate(all="ignore"):
+            trace, measure = run_attack(model, acfg, draws=draws,
+                                        theta_star=theta_star,
+                                        target_points=target_points)
         out = _outdir(cfg)
         trace.write_csv(out / "trace.csv")
         save_measure(out / "measure.csv", measure, model.layout)
@@ -274,6 +278,9 @@ def attack(config_path):
             json.dump(summary, fh, indent=2)
             fh.write("\n")
         click.echo(f"wrote trace.csv, measure.csv, summary.json to {out}")
+    except AttackDiverged as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
     except (ConfigError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -306,17 +313,20 @@ def report(measure_path, data_path, layout_path):
         with open(layout_path) as fh:
             raw = json.load(fh)
         allowed = {"p", "x_idx", "y_idx", "frozen_idx", "frozen_values", "names"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown layout key(s): {sorted(unknown)}")
-        layout = Layout(
-            p=int(raw["p"]),
-            x_idx=tuple(raw["x_idx"]),
-            y_idx=raw.get("y_idx"),
-            frozen_idx=tuple(raw.get("frozen_idx", ())),
-            frozen_values=tuple(raw.get("frozen_values", ())),
-            names=tuple(raw["names"]) if "names" in raw else None,
-        )
+        try:
+            unknown = set(raw) - allowed
+            if unknown:
+                raise ConfigError(f"unknown layout key(s): {sorted(unknown)}")
+            layout = Layout(
+                p=int(raw["p"]),
+                x_idx=tuple(raw["x_idx"]),
+                y_idx=raw.get("y_idx"),
+                frozen_idx=tuple(raw.get("frozen_idx", ())),
+                frozen_values=tuple(raw.get("frozen_values", ())),
+                names=tuple(raw["names"]) if "names" in raw else None,
+            )
+        except TypeError as exc:
+            raise ConfigError(f"malformed layout in {layout_path}: {exc}") from None
         points, _ = load_dataset(data_path)
         measure = load_measure(measure_path)
         target = recon_statistics(build_measure(points), layout)

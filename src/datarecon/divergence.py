@@ -47,21 +47,6 @@ def _estimate(per_draw: np.ndarray, constant_note: bool) -> DivergenceEstimate:
     return DivergenceEstimate(float(np.mean(per_draw)), se, constant_note)
 
 
-def weighted_score_batch(model, measure: WeightedEmpiricalMeasure, thetas) -> np.ndarray:
-    """Score of the weighted pseudo-posterior at each draw: prior score plus
-    the weight-scaled likelihood scores. Shape (T, d)."""
-    thetas = model.check_draws(thetas)
-    scores = model.score_batch(thetas, measure.points)
-    return model.prior_score_batch(thetas) + np.einsum(
-        "m,tmd->td", measure.weights, scores
-    )
-
-
-def weighted_posterior_score(model, measure: WeightedEmpiricalMeasure, theta) -> np.ndarray:
-    theta = model.check_theta(theta)
-    return weighted_score_batch(model, measure, theta[None, :])[0]
-
-
 def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> DivergenceEstimate:
     """Score-gap divergence computed with the (test-known) target measure.
 
@@ -176,21 +161,6 @@ class NonBayesKernel:
         return float(self.gram(np.atleast_2d(x), np.atleast_2d(xp))[0, 0])
 
 
-def model_kernel(mode: str, *, model=None, draws=None, loss_model=None, theta_star=None):
-    """Build the kernel induced by a model: 'bayes' averages likelihood-score
-    inner products over posterior draws, 'nonbayes' uses loss gradients at
-    the released parameters."""
-    if mode == "bayes":
-        if model is None or draws is None:
-            raise ValueError("bayes kernel needs model and draws")
-        return BayesKernel(model, draws)
-    if mode == "nonbayes":
-        if loss_model is None or theta_star is None:
-            raise ValueError("nonbayes kernel needs loss_model and theta_star")
-        return NonBayesKernel(loss_model, theta_star)
-    raise ValueError(f"unknown kernel mode: {mode!r}")
-
-
 def mmd_squared(kernel, measure_a: WeightedEmpiricalMeasure,
                 measure_b: WeightedEmpiricalMeasure) -> float:
     """Squared kernel discrepancy between two un-normalised weighted
@@ -201,15 +171,6 @@ def mmd_squared(kernel, measure_a: WeightedEmpiricalMeasure,
     k_bb = kernel.gram(measure_b.points, measure_b.points)
     k_ab = kernel.gram(measure_a.points, measure_b.points)
     return float(a @ k_aa @ a + b @ k_bb @ b - 2.0 * (a @ k_ab @ b))
-
-
-def nonbayes_objective(loss_model, theta_star, recon_measure) -> float:
-    """Euclidean norm of the regularizer gradient plus the weighted sum of
-    per-datum loss gradients at the released parameters."""
-    theta_star = np.asarray(theta_star, dtype=float).ravel()
-    grads = loss_model.grad_theta_batch(theta_star, recon_measure.points)
-    G = loss_model.reg_grad(theta_star) + recon_measure.weights @ grads
-    return float(np.linalg.norm(G))
 
 
 def loss_gradient_gap(loss_model, theta_star, target_measure, recon_measure) -> float:

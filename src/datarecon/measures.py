@@ -232,22 +232,24 @@ def load_dataset(path) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.asarray(rows), tuple(header)
 
 
-def save_dataset(path, points: np.ndarray, names) -> None:
+def write_rows(path, header, rows) -> None:
+    """Write a header row, then rows of numbers at 17 significant digits, so
+    float64 values read back bitwise. Every CSV the package writes goes
+    through here."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in np.atleast_2d(points):
-            writer.writerow([f"{v:.17g}" for v in row])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
+def save_dataset(path, points: np.ndarray, names) -> None:
+    write_rows(path, names, np.atleast_2d(points))
 
 
 def save_measure(path, measure: WeightedEmpiricalMeasure, layout: Layout) -> None:
     """Measure CSV: weight column followed by the point coordinates."""
-    names = ("weight",) + layout.coord_names()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for w, row in zip(measure.weights, measure.points):
-            writer.writerow([f"{w:.17g}"] + [f"{v:.17g}" for v in row])
+    write_rows(path, ("weight",) + layout.coord_names(),
+               np.column_stack([measure.weights, measure.points]))
 
 
 def load_measure(path) -> WeightedEmpiricalMeasure:

@@ -1,14 +1,13 @@
-"""Likelihood and loss models with analytic scores, curvature and data
-derivatives.
+"""Likelihood and loss models with analytic derivatives.
 
 Every likelihood model factorises its log-likelihood as a(theta)^T phi(z)
-over a short feature vector phi and declares only phi, its data Jacobian,
-the coefficient maps a, da/dtheta and d2a/dtheta2, and its prior terms; the
-vectorised batch callbacks (over posterior draws, pseudo-points and slice
-directions) are derived from these, and the scalar operations used in tests
-and audits are thin wrappers around those. All derivatives are analytic and
-validated against a central-difference oracle, see
-``finite_difference_audit``.
+over a short feature vector phi and declares only the primitives: phi, its
+data Jacobian, the coefficient maps a, da/dtheta and d2a/dtheta2, and its
+prior terms. The objectives work on these directly; the per-point
+log-likelihood and score kept here are the independent oracle for them.
+Loss models declare the per-datum loss, its parameter gradient and that
+gradient's data Jacobian. ``finite_difference_audit`` checks every analytic
+derivative against central differences.
 """
 
 from __future__ import annotations
@@ -97,10 +96,10 @@ class LikelihoodModel:
     their Jacobian over the free data coordinates), the coefficient maps
     ``loglik_coef`` (a), ``score_coef`` (A = da/dtheta) and ``hess_coef``
     (B = d2a/dtheta2), and the prior's log density, score and Hessian. The
-    per-point callbacks (scores, curvatures, data derivatives) are derived
-    from these, and so is the statistic-space objective: the weighted
+    statistic-space objective is built from these: the weighted
     pseudo-posterior depends on a measure only through its feature sums
-    Phi = sum_m w_m phi(z_m).
+    Phi = sum_m w_m phi(z_m). The per-point log-likelihood and score below
+    are the reference the objective and the audit compare against.
     """
 
     param_dim: int
@@ -156,40 +155,13 @@ class LikelihoodModel:
     def prior_hess_batch(self, thetas):               # (T, d, d)
         raise NotImplementedError
 
-    # per-point batch callbacks, derived from the primitives --------------------
+    # per-point log-likelihood and score, the oracle for the objectives ------
     def log_lik_batch(self, theta, points):           # (M,)
         theta = np.asarray(theta, dtype=float).ravel()
         return self.phi(points) @ self.loglik_coef(theta[None, :])[0]
 
     def score_batch(self, thetas, points):            # (T, M, d)
         return np.einsum("tdk,mk->tmd", self.score_coef(thetas), self.phi(points))
-
-    def trace_batch(self, thetas, points):            # (T, M)
-        return np.einsum("tkii->tk", self.hess_coef(thetas)) @ self.phi(points).T
-
-    def quad_batch(self, thetas, points, vs):         # (T, L, M)
-        return self._quad_coef(thetas, vs) @ self.phi(points).T
-
-    def jac_score_batch(self, thetas, points):        # (T, M, d, p_free)
-        return np.einsum("tdk,mkp->tmdp", self.score_coef(thetas), self.phi_jac(points))
-
-    def grad_trace_batch(self, thetas, points):       # (T, M, p_free)
-        trace = np.einsum("tkii->tk", self.hess_coef(thetas))
-        return np.einsum("tk,mkp->tmp", trace, self.phi_jac(points))
-
-    def grad_quad_batch(self, thetas, points, vs):    # (T, L, M, p_free)
-        return np.einsum("tlk,mkp->tlmp", self._quad_coef(thetas, vs), self.phi_jac(points))
-
-    def _quad_coef(self, thetas, vs):                 # (T, L, K): v^T B_k v
-        vs = np.asarray(vs, dtype=float)
-        return np.einsum("tkij,tli,tlj->tlk", self.hess_coef(thetas), vs, vs)
-
-    def prior_trace_batch(self, thetas):              # (T,)
-        return np.einsum("tii->t", self.prior_hess_batch(thetas))
-
-    def prior_quad_batch(self, thetas, vs):           # (T, L)
-        vs = np.asarray(vs, dtype=float)
-        return np.einsum("tij,tli,tlj->tl", self.prior_hess_batch(thetas), vs, vs)
 
     # y-part initialisation hooks (regression models override)
     def predict_mean(self, theta, x_part):
@@ -206,39 +178,6 @@ class LikelihoodModel:
     def score_theta(self, theta, x) -> np.ndarray:
         theta = self.check_theta(theta)
         return self.score_batch(theta[None, :], np.atleast_2d(x))[0, 0]
-
-    def curvature(self, theta, x, v=None) -> float:
-        theta = self.check_theta(theta)
-        pts = np.atleast_2d(x)
-        if v is None:
-            return float(self.trace_batch(theta[None, :], pts)[0, 0])
-        v = np.asarray(v, dtype=float)
-        return float(self.quad_batch(theta[None, :], pts, v[None, None, :])[0, 0, 0])
-
-    def data_derivatives(self, theta, x, v=None) -> dict:
-        theta = self.check_theta(theta)
-        pts = np.atleast_2d(x)
-        out = {
-            "jac_score": self.jac_score_batch(theta[None, :], pts)[0, 0],
-            "grad_trace": self.grad_trace_batch(theta[None, :], pts)[0, 0],
-        }
-        if v is not None:
-            v = np.asarray(v, dtype=float)
-            out["grad_quad"] = self.grad_quad_batch(
-                theta[None, :], pts, v[None, None, :]
-            )[0, 0, 0]
-        return out
-
-    def prior_terms(self, theta, v=None) -> dict:
-        theta = self.check_theta(theta)
-        out = {
-            "score": self.prior_score_batch(theta[None, :])[0],
-            "trace": float(self.prior_trace_batch(theta[None, :])[0]),
-        }
-        if v is not None:
-            v = np.asarray(v, dtype=float)
-            out["quad"] = float(self.prior_quad_batch(theta[None, :], v[None, None, :])[0, 0])
-        return out
 
 
 class _StandardNormalPrior:
@@ -501,9 +440,6 @@ class LossModel:
     def grad_theta_batch(self, theta, points):      # (M, d)
         raise NotImplementedError
 
-    def jac_data_batch(self, theta, points):        # (M, d, p_free)
-        return self.grad_and_jac_batch(theta, points)[1]
-
     def grad_and_jac_batch(self, theta, points):    # (M, d), (M, d, p_free)
         raise NotImplementedError
 
@@ -519,7 +455,7 @@ class LossModel:
         return {
             "value": float(self.loss_batch(theta, pts)[0]),
             "grad_theta": self.grad_theta_batch(theta, pts)[0],
-            "jac_data": self.jac_data_batch(theta, pts)[0],
+            "jac_data": self.grad_and_jac_batch(theta, pts)[1][0],
         }
 
     def predict_mean(self, theta, x_part):
@@ -635,12 +571,16 @@ def _rel_err(analytic, numeric):
 
 
 def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
-                            v=None, tol: float = 1e-5) -> AuditReport:
-    """Validate every analytic callback against central differences.
+                            tol: float = 1e-5) -> AuditReport:
+    """Validate every analytic derivative against central differences.
 
-    Works for both likelihood models (scores, curvature, data derivatives,
-    prior terms) and loss models (parameter gradient, data Jacobian). The
-    step is scaled per coordinate: h = h_scale * max(1, |coordinate|).
+    For likelihood models these are the factor primitives, each against
+    differences of the one it differentiates (a -> A -> B in theta, phi ->
+    phi_jac over the free data coordinates, log prior -> prior score ->
+    prior Hessian), plus the per-point score against differences of the
+    log-likelihood (check ``score_theta``). For loss models: the parameter
+    gradient, the regularizer gradient and the data Jacobian. The step is
+    scaled per coordinate: h = h_scale * max(1, |coordinate|).
     """
     theta = np.asarray(theta, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -649,7 +589,7 @@ def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
     if isinstance(model, LossModel):
         _audit_loss(model, theta, x, h_scale, checks)
     else:
-        _audit_likelihood(model, theta, x, h_scale, v, checks)
+        _audit_likelihood(model, theta, x, h_scale, checks)
 
     max_err = max(checks.values())
     return AuditReport(max_err, checks, tol)
@@ -667,49 +607,30 @@ def _central(f, x, steps, coords=None):
     return np.stack(cols, axis=-1)
 
 
-def _audit_likelihood(model, theta, x, h_scale, v, checks):
-    d = model.param_dim
-    if v is None:
-        v = np.full(d, 1.0 / np.sqrt(d))
-    v = np.asarray(v, dtype=float)
+def _single(batch_fn):
+    """A batch method (leading axis over rows) evaluated at one row."""
+    return lambda row: batch_fn(row[None, :])[0]
+
+
+def _audit_likelihood(model, theta, x, h_scale, checks):
     hs_t = _steps(theta, h_scale)
+    a, A = _single(model.loglik_coef), _single(model.score_coef)
+    prior_score = _single(model.prior_score_batch)
 
-    def prior_score(t):
-        return model.prior_terms(t)["score"]
-
-    # score and prior score vs FD of log_lik and log_prior
     num = _central(lambda t: model.log_lik(t, x), theta, hs_t)
     checks["score_theta"] = _rel_err(model.score_theta(theta, x), num)
+
+    # _central stacks the theta derivative last: (K, d) for a, (d, K, d) for A
+    checks["score_coef"] = _rel_err(A(theta), _central(a, theta, hs_t).T)
+    checks["hess_coef"] = _rel_err(_single(model.hess_coef)(theta),
+                                   _central(A, theta, hs_t).transpose(1, 0, 2))
     num = _central(model.log_prior, theta, hs_t)
     checks["prior_score"] = _rel_err(prior_score(theta), num)
+    num = _central(prior_score, theta, hs_t)
+    checks["prior_hess"] = _rel_err(_single(model.prior_hess_batch)(theta), num)
 
-    # trace vs sum of FD diagonal of the score Jacobian
-    tr = np.trace(_central(lambda t: model.score_theta(t, x), theta, hs_t))
-    checks["trace"] = _rel_err(model.curvature(theta, x), tr)
-
-    # quad vs directional FD of <v, score>
-    h = h_scale
-    qp = v @ model.score_theta(theta + h * v, x)
-    qm = v @ model.score_theta(theta - h * v, x)
-    checks["quad"] = _rel_err(model.curvature(theta, x, v), (qp - qm) / (2 * h))
-
-    # prior trace / quad via FD of prior score
-    tr = np.trace(_central(prior_score, theta, hs_t))
-    checks["prior_trace"] = _rel_err(model.prior_terms(theta)["trace"], tr)
-    qp = v @ prior_score(theta + h * v)
-    qm = v @ prior_score(theta - h * v)
-    checks["prior_quad"] = _rel_err(model.prior_terms(theta, v)["quad"], (qp - qm) / (2 * h))
-
-    # data derivatives vs FD over the free coordinates
-    free = model.layout.free_idx
-    hs_x = _steps(x, h_scale)
-    deriv = model.data_derivatives(theta, x, v)
-    jac_num = _central(lambda z: model.score_theta(theta, z), x, hs_x, free)
-    gtr_num = _central(lambda z: model.curvature(theta, z), x, hs_x, free)
-    gq_num = _central(lambda z: model.curvature(theta, z, v), x, hs_x, free)
-    checks["jac_score"] = _rel_err(deriv["jac_score"], jac_num)
-    checks["grad_trace"] = _rel_err(deriv["grad_trace"], gtr_num)
-    checks["grad_quad"] = _rel_err(deriv["grad_quad"], gq_num)
+    num = _central(_single(model.phi), x, _steps(x, h_scale), model.layout.free_idx)
+    checks["phi_jac"] = _rel_err(_single(model.phi_jac)(x), num)
 
 
 def _audit_loss(model, theta, x, h_scale, checks):

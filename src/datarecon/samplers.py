@@ -8,12 +8,12 @@ ingested from CSV.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import PosteriorDraws
+from .measures import load_dataset, write_rows
 
 
 @dataclass(frozen=True)
@@ -101,32 +101,9 @@ def save_draws(path, draws: PosteriorDraws, names=None) -> None:
         names = draws.names or tuple(f"theta{i}" for i in range(d))
     if len(names) != d:
         raise ValueError("column names must match the draw dimension")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in draws.draws:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_rows(path, names, draws.draws)
 
 
 def load_draws(path) -> PosteriorDraws:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(row)} columns, expected {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}: row {lineno} contains a non-numeric value") from None
-    if not rows:
-        raise ValueError(f"{path}: no draws")
-    return PosteriorDraws(np.asarray(rows), source="file", names=tuple(header))
+    data, header = load_dataset(path)
+    return PosteriorDraws(data, source="file", names=header)

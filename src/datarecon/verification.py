@@ -15,12 +15,12 @@ from .attack import objective_gradients, objective_value
 from .divergence import (
     BayesKernel,
     NonBayesKernel,
+    PosteriorCoefficients,
     PosteriorDraws,
     fd_direct,
     fd_ibp_objective,
     loss_gradient_gap,
     mmd_squared,
-    nonbayes_objective,
     sfd_objective,
 )
 from .measures import build_measure
@@ -131,9 +131,12 @@ def check_sfd_fd_agreement(T: int = 100, L: int = 10_000,
     slices = rng.standard_normal((T, L, d))
     sfd = sfd_objective(model, draws, slices, recon)
     fd = fd_ibp_objective(model, draws, recon)
-    # slice-MC error of the quadratic-form term, on top of the shared draws
-    quads = model.prior_quad_batch(draws.draws, slices) + model.quad_batch(
-        draws.draws, recon.points, slices) @ recon.weights
+    # slice-MC error of the quadratic-form term v^T H_t v, on top of the
+    # shared draws; H_t = P_t + sum_k Phi_k B_tk is the pseudo-posterior Hessian
+    coef = PosteriorCoefficients(model, draws.draws)
+    Phi = recon.weights @ model.phi(recon.points)
+    H = coef.prior_hess + np.einsum("tkij,k->tij", coef.B, Phi)
+    quads = np.einsum("tij,tli,tlj->tl", H, slices, slices)
     se_slice = float(np.std(quads.mean(axis=0), ddof=1) / np.sqrt(L))
     se = np.sqrt(se_slice**2 + sfd.std_error**2 + fd.std_error**2)
     gap = abs(sfd.value - fd.value)

@@ -118,30 +118,35 @@ def _fd_gradcheck(objective, model, measure, h=1e-6, **kw):
 
 
 def _per_point_value_and_grads(model, thetas, measure, slices=None):
-    """The fd/sfd objective and its gradients assembled point by point from
-    the per-point callbacks (score, curvature and data-derivative arrays over
-    draws, slices and pseudo-points): the reference for the statistic-space
-    path. ``slices is None`` selects the trace (fd) form."""
+    """The fd/sfd objective and its gradients assembled point by point
+    (score, curvature and data-derivative arrays over draws, slices and
+    pseudo-points, each written out from the factor primitives): the
+    reference for the statistic-space path. ``slices is None`` selects the
+    trace (fd) form."""
     w = measure.weights
     points = measure.points
     T = len(thetas)
+    phi, phi_jac = model.phi(points), model.phi_jac(points)      # (M, K), (M, K, pf)
+    B, P = model.hess_coef(thetas), model.prior_hess_batch(thetas)
     scores = model.score_batch(thetas, points)                   # (T, M, d)
     S = model.prior_score_batch(thetas) + np.einsum("m,tmd->td", w, scores)
     if slices is None:
-        curv_m = model.trace_batch(thetas, points)               # (T, M)
-        curv_prior = model.prior_trace_batch(thetas)             # (T,)
+        curv_coef = np.einsum("tkii->tk", B)                     # (T, K)
+        curv_m = curv_coef @ phi.T                               # (T, M)
+        curv_prior = np.einsum("tii->t", P)                      # (T,)
     else:
-        curv_m = model.quad_batch(thetas, points, slices).mean(axis=1)      # (T, M)
-        curv_prior = model.prior_quad_batch(thetas, slices).mean(axis=1)    # (T,)
+        curv_coef = np.einsum("tkij,tli,tlj->tlk", B, slices, slices)       # (T, L, K)
+        curv_m = (curv_coef @ phi.T).mean(axis=1)                           # (T, M)
+        curv_prior = np.einsum("tij,tli,tlj->tl", P, slices, slices).mean(axis=1)
     per_draw = curv_prior + curv_m @ w + 0.5 * np.sum(S**2, axis=1)
     value = float(np.mean(per_draw))
     grad_w = curv_m.mean(axis=0) + np.einsum("td,tmd->m", S, scores) / T
-    jac = model.jac_score_batch(thetas, points)                  # (T, M, d, pf)
+    jac = np.einsum("tdk,mkp->tmdp", model.score_coef(thetas), phi_jac)  # (T, M, d, pf)
     grad_z = np.einsum("tmdj,td->mj", jac, S) / T
     if slices is None:
-        grad_z += model.grad_trace_batch(thetas, points).mean(axis=0)
+        grad_z += np.einsum("tk,mkp->tmp", curv_coef, phi_jac).mean(axis=0)
     else:
-        grad_z += model.grad_quad_batch(thetas, points, slices).mean(axis=(0, 1))
+        grad_z += np.einsum("tlk,mkp->tlmp", curv_coef, phi_jac).mean(axis=(0, 1))
     grad_z *= w[:, None]
     return value, grad_w, grad_z
 

@@ -134,6 +134,18 @@ class TestAttackCommand:
         assert outputs["base"]["attack"]["seed"] == 4
         assert outputs["override"]["attack"]["seed"] == 99
 
+    def test_diverged_attack_exits_3(self, runner, tmp_path):
+        _, data_path = _gaussian_dataset(tmp_path, seed=6)
+        cfg_dict = self._attack_cfg(tmp_path, data_path)
+        cfg_dict["attack"].update(lr_w=1e200, lr_z=1e200)
+        cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "non-finite" in lines[0]
+
     def test_nonbayes_requires_theta_star(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", {
             "model": {"name": "squared_error", "x_dim": 1, "ridge": 0.1},
@@ -200,11 +212,15 @@ class TestReportCommand:
         measure_path = tmp_path / "measure.csv"
         save_measure(measure_path, build_measure(X), Layout(p=1, x_idx=(0,)))
         layout_path = tmp_path / "layout.json"
-        layout_path.write_text(json.dumps({"p": 1, "x_idx": [0], "oops": 1}))
-        result = runner.invoke(main, [
-            "report", "--measure", str(measure_path),
-            "--data", data_path, "--layout", str(layout_path)])
-        assert result.exit_code == 2
+        for layout in ({"p": 1, "x_idx": [0], "oops": 1}, {"p": 1, "x_idx": 0}):
+            layout_path.write_text(json.dumps(layout))
+            result = runner.invoke(main, [
+                "report", "--measure", str(measure_path),
+                "--data", data_path, "--layout", str(layout_path)])
+            assert result.exit_code == 2, (layout, result.output)
+            assert "Traceback" not in result.output
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _bayes_cfg(tmp_path, data_path):

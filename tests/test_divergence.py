@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from datarecon.attack import objective_value
 from datarecon.divergence import (
     BayesKernel,
     NonBayesKernel,
+    PosteriorCoefficients,
     PosteriorDraws,
     fd_direct,
     fd_ibp_objective,
     loss_gradient_gap,
     mmd_squared,
-    model_kernel,
-    nonbayes_objective,
     sfd_objective,
-    weighted_posterior_score,
 )
 from datarecon.measures import Layout, build_measure
 from datarecon.models import (
@@ -23,12 +22,23 @@ from datarecon.models import (
 from datarecon.samplers import exact_gaussian_mean_draws
 
 
+def _weighted_posterior_score(model, measure, theta):
+    """Score S of the weighted pseudo-posterior at one draw."""
+    coef = PosteriorCoefficients(model, np.atleast_2d(theta))
+    return coef.per_draw(measure.weights @ model.phi(measure.points))[2][0]
+
+
+def _nonbayes_objective(loss_model, theta_star, measure):
+    """Norm of the regularizer gradient plus the weighted loss-gradient sum."""
+    return np.sqrt(objective_value("nonbayes", loss_model, measure, theta_star=theta_star))
+
+
 class TestWeightedPosteriorScore:
     def test_two_unit_weights_at_zero(self):
         model = GaussianMeanLocation(2)
         x1, x2 = np.array([1.0, 0.5]), np.array([-0.3, 2.0])
         m = build_measure([x1, x2])
-        s = weighted_posterior_score(model, m, [0.0, 0.0])
+        s = _weighted_posterior_score(model, m, [0.0, 0.0])
         np.testing.assert_allclose(s, x1 + x2, rtol=1e-14)
 
     def test_zero_weights_give_prior_score(self):
@@ -36,14 +46,14 @@ class TestWeightedPosteriorScore:
         m = build_measure([[1.0, 2.0]], [0.0])
         theta = np.array([0.7, -0.4])
         np.testing.assert_allclose(
-            weighted_posterior_score(model, m, theta), -theta, rtol=1e-14)
+            _weighted_posterior_score(model, m, theta), -theta, rtol=1e-14)
 
     def test_weight_multiplicity_equivalence(self):
         model = GaussianMeanLocation(1)
         z = [0.8]
         theta = np.array([0.2])
-        s1 = weighted_posterior_score(model, build_measure([z], [2.0]), theta)
-        s2 = weighted_posterior_score(model, build_measure([z, z], [1.0, 1.0]), theta)
+        s1 = _weighted_posterior_score(model, build_measure([z], [2.0]), theta)
+        s2 = _weighted_posterior_score(model, build_measure([z, z], [1.0, 1.0]), theta)
         np.testing.assert_allclose(s1, s2, rtol=1e-14)
 
 
@@ -142,8 +152,10 @@ class TestSfd:
         slices = rng.standard_normal((100, L, 2))
         sfd = sfd_objective(model, draws, slices, recon)
         fd = fd_ibp_objective(model, draws, recon)
-        quads = model.prior_quad_batch(draws.draws, slices) + model.quad_batch(
-            draws.draws, recon.points, slices) @ recon.weights
+        coef = PosteriorCoefficients(model, draws.draws)
+        H = coef.prior_hess + np.einsum(
+            "tkij,k->tij", coef.B, recon.weights @ model.phi(recon.points))
+        quads = np.einsum("tij,tli,tlj->tl", H, slices, slices)
         se_slice = float(np.std(quads.mean(axis=0), ddof=1) / np.sqrt(L))
         assert abs(sfd.value - fd.value) <= 3 * se_slice
 
@@ -153,7 +165,7 @@ class TestModelKernel:
         rng = np.random.default_rng(10)
         model = GaussianMeanLocation(2)
         draws = PosteriorDraws(rng.standard_normal((40, 2)))
-        kernel = model_kernel("bayes", model=model, draws=draws)
+        kernel = BayesKernel(model, draws)
         mu_bar = draws.draws.mean(axis=0)
         msq = float(np.mean(np.sum(draws.draws**2, axis=1)))
         for _ in range(10):
@@ -164,7 +176,7 @@ class TestModelKernel:
     def test_nonbayes_kernel_residual_factor(self):
         m = SquaredErrorLoss(IdentityFeatures(1), Layout(p=2, x_idx=(0,), y_idx=1))
         theta = np.array([0.7])
-        kernel = model_kernel("nonbayes", loss_model=m, theta_star=theta)
+        kernel = NonBayesKernel(m, theta)
         # zero-residual point: kernel row vanishes
         x0 = [1.0, 0.7]
         assert kernel(x0, [2.0, 0.0]) == 0.0
@@ -228,19 +240,19 @@ class TestNonbayesObjective:
         lam = 0.4
         theta_star = np.linalg.solve(psi.T @ psi + lam * np.eye(2), psi.T @ y)
         target = build_measure(X)
-        assert nonbayes_objective(m, theta_star, target) < 1e-12
+        assert _nonbayes_objective(m, theta_star, target) < 1e-12
         # for any recon measure the objective equals the gradient gap norm
         recon = build_measure(
             np.column_stack([np.ones(3), rng.standard_normal((3, 2))]),
             rng.standard_normal(3))
-        obj = nonbayes_objective(m, theta_star, recon)
+        obj = _nonbayes_objective(m, theta_star, recon)
         gap = loss_gradient_gap(m, theta_star, target, recon)
         assert obj == pytest.approx(gap, rel=1e-9)
 
     def test_zero_weights_zero_regularizer(self):
         m = SquaredErrorLoss.identity_with_intercept(1, ridge=0.0)
         recon = build_measure([[1.0, 0.3, 0.5]], [0.0])
-        assert nonbayes_objective(m, [0.1, 0.2], recon) == 0.0
+        assert _nonbayes_objective(m, [0.1, 0.2], recon) == 0.0
 
 
 class TestNormGrowth:
