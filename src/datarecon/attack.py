@@ -32,7 +32,17 @@ ADAM_EPS = 1e-8
 
 
 class AttackDiverged(RuntimeError):
-    """The objective became non-finite during an attack."""
+    """The objective became non-finite during an attack. Carries the work
+    done so far: the iteration that diverged, the trace recorded before it
+    and the last measure whose objective was finite (the initial measure if
+    the first evaluation already failed)."""
+
+    def __init__(self, iteration: int, trace: AttackTrace,
+                 measure: WeightedEmpiricalMeasure):
+        super().__init__(f"objective became non-finite at iteration {iteration}")
+        self.iteration = iteration
+        self.trace = trace
+        self.measure = measure
 
 
 @dataclass(frozen=True)
@@ -303,6 +313,7 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
 
     evaluate = _evaluator(config.objective, model, draws, theta_star)
     T = draws.T if draws is not None else 0
+    good = measure
     for it in range(config.iters):
         slices = None
         if config.objective == "sfd":
@@ -310,7 +321,8 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
         meas = current_measure()
         value, gw, gz = evaluate(meas, slices, True)
         if not np.isfinite(value):
-            raise AttackDiverged(f"objective became non-finite at iteration {it}")
+            raise AttackDiverged(it, trace, good)
+        good = meas
         if it % config.trace_every == 0:
             record(it, value, meas)
         grads = np.concatenate([gw, gz.ravel()])
@@ -320,7 +332,6 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
     slices = None
     if config.objective == "sfd":
         slices = draw_slices(slice_rng, T, config.L, model.param_dim)
-    final_value = objective_value(config.objective, model, final, draws=draws,
-                                  slices=slices, theta_star=theta_star)
+    final_value, _, _ = evaluate(final, slices, False)
     record(config.iters, final_value, final)
     return trace, final

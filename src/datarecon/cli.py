@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -241,9 +242,12 @@ def attack(config_path):
             raise ConfigError(f"objective {acfg.objective!r} does not apply to the "
                               f"{kind} model {cfg['model']['name']!r}")
 
+        wall = {"sample": None}
         draws = None
         if acfg.objective in ("fd", "sfd"):
+            t0 = time.perf_counter()
             draws = _get_draws(cfg, model)
+            wall["sample"] = time.perf_counter() - t0
         elif theta_star is None:
             raise ConfigError("attack.theta_star is required for the nonbayes objective")
         else:
@@ -254,33 +258,55 @@ def attack(config_path):
             target_points = _load_data(cfg, model)
 
         # run_attack stops at the first non-finite objective, which is reported
-        # as one error line; numpy's overflow warnings on the way would only
-        # repeat it
-        with np.errstate(all="ignore"):
-            trace, measure = run_attack(model, acfg, draws=draws,
-                                        theta_star=theta_star,
-                                        target_points=target_points)
+        # as one error line after the work done so far is written; numpy's
+        # overflow warnings on the way would only repeat it
+        t0 = time.perf_counter()
+        diverged = None
+        try:
+            with np.errstate(all="ignore"):
+                trace, measure = run_attack(model, acfg, draws=draws,
+                                            theta_star=theta_star,
+                                            target_points=target_points)
+        except AttackDiverged as exc:
+            diverged, trace, measure = exc, exc.trace, exc.measure
+        wall["attack"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         out = _outdir(cfg)
         trace.write_csv(out / "trace.csv")
         save_measure(out / "measure.csv", measure, model.layout)
         stats = recon_statistics(measure, model.layout)
+        wall["write"] = time.perf_counter() - t0
+        if diverged is None:
+            status = {"status": "ok"}
+            objective, errors = trace.checkpoints[-1].objective, trace.checkpoints[-1].errors
+        else:
+            status = {"status": "diverged", "diverged_at": diverged.iteration}
+            objective = errors = None
         summary = {
+            **status,
             "config": cfg,
             "attack": trace.header,
+            "draws": None if draws is None else {
+                "source": draws.source,
+                "T": draws.T,
+                "acceptance_rate": draws.acceptance_rate,
+            },
             "final": {
-                "objective": trace.checkpoints[-1].objective,
+                "objective": objective,
                 "total_mass": stats.total_mass,
                 "moments": stats.moments(),
-                "errors": trace.checkpoints[-1].errors,
+                "errors": errors,
             },
+            "wall_s": wall,
         }
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
+        if diverged is not None:
+            click.echo(f"error: {diverged}", err=True)
+            sys.exit(3)
         click.echo(f"wrote trace.csv, measure.csv, summary.json to {out}")
-    except AttackDiverged as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
     except (ConfigError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -105,10 +105,10 @@ class LikelihoodModel:
     param_dim: int
     layout: Layout
 
-    # whether every row of ``thetas`` (T, d) lies in the parameter domain;
-    # subclasses restrict the domain here
-    def in_domain(self, thetas: np.ndarray) -> bool:
-        return True
+    # per-row mask (T,) of the rows of ``thetas`` (T, d) that lie in the
+    # parameter domain; subclasses restrict the domain here
+    def in_domain(self, thetas: np.ndarray) -> np.ndarray:
+        return np.ones(len(thetas), dtype=bool)
 
     def check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -116,7 +116,7 @@ class LikelihoodModel:
             raise ValueError(f"theta must have length {self.param_dim}")
         if not np.isfinite(theta).all():
             raise DomainError("theta contains non-finite entries")
-        if not self.in_domain(theta[None, :]):
+        if not self.in_domain(theta[None, :]).all():
             raise DomainError("theta outside model domain")
         return theta
 
@@ -126,7 +126,7 @@ class LikelihoodModel:
             raise ValueError(f"draws must have {self.param_dim} columns")
         if not np.all(np.isfinite(thetas)):
             raise DomainError("draws contain non-finite entries")
-        if not self.in_domain(thetas):
+        if not self.in_domain(thetas).all():
             raise DomainError("a draw lies outside the model domain")
         return thetas
 
@@ -146,7 +146,7 @@ class LikelihoodModel:
     def hess_coef(self, thetas):                      # (T, K, d, d)
         raise NotImplementedError
 
-    def log_prior(self, theta) -> float:
+    def log_prior(self, thetas):                      # (T,), or a scalar for one theta
         raise NotImplementedError
 
     def prior_score_batch(self, thetas):              # (T, d)
@@ -183,8 +183,8 @@ class LikelihoodModel:
 class _StandardNormalPrior:
     """Standard Gaussian prior on all parameters."""
 
-    def log_prior(self, theta) -> float:
-        return -0.5 * float(np.sum(np.asarray(theta) ** 2))
+    def log_prior(self, thetas):
+        return -0.5 * np.sum(np.asarray(thetas, dtype=float) ** 2, axis=-1)
 
     def prior_score_batch(self, thetas):
         return -np.asarray(thetas, dtype=float)
@@ -367,7 +367,7 @@ class KidScoreModel(_GaussianRegression):
         ))
 
     def in_domain(self, thetas):
-        return bool((thetas[:, 2] > 0).all())
+        return thetas[:, 2] > 0
 
     @staticmethod
     def _split_theta(thetas):
@@ -401,9 +401,9 @@ class KidScoreModel(_GaussianRegression):
         out[:, 0, 2, 2] = 1.0 / s**2
         return out
 
-    def log_prior(self, theta) -> float:
-        sigma = float(np.asarray(theta).ravel()[2])
-        return -float(np.log1p((sigma / self.prior_scale) ** 2))
+    def log_prior(self, thetas):
+        sigma = np.asarray(thetas, dtype=float)[..., 2]
+        return -np.log1p((sigma / self.prior_scale) ** 2)
 
     def prior_score_batch(self, thetas):
         thetas = np.asarray(thetas, dtype=float)

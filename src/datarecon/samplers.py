@@ -15,6 +15,11 @@ import numpy as np
 from .divergence import PosteriorDraws
 from .measures import load_dataset, write_rows
 
+# The chain draws its random numbers RWM_CHUNK steps at a time and scores up
+# to RWM_BLOCK proposals from the current state per batched call.
+RWM_CHUNK = 1024
+RWM_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -55,21 +60,22 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     given dataset ``X``. Proposals are isotropic Gaussian; proposals outside
     the model domain are auto-rejected. The dataset enters the likelihood
     only through its feature sums, so it is reduced to them once and each
-    proposal costs O(K), not O(N)."""
+    proposal costs O(K), not O(N).
+
+    Every proposal made before the next acceptance starts from the current
+    state, so the next ``RWM_BLOCK`` of them are scored in one batched call
+    and the first accepted one is taken (pre-fetching along the all-reject
+    branch). The random numbers are drawn step by step in the usual order,
+    ``RWM_CHUNK`` steps at a time, so the accept/reject decisions, and thus
+    the draws, are those of the one-proposal-per-step chain (a batched
+    product may round a log posterior differently in the last bit, which
+    matters only for a uniform within that rounding of the threshold).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if config.init is None:
         raise ValueError("rwm_draws needs an initial parameter vector")
     theta = model.check_theta(np.asarray(config.init, dtype=float))
     phi_data = model.phi(X).sum(axis=0)
-
-    def log_post(t):
-        if not model.in_domain(t[None, :]):
-            return -np.inf
-        return float(model.loglik_coef(t[None, :])[0] @ phi_data) + model.log_prior(t)
-
-    lp = log_post(theta)
-    if not np.isfinite(lp):
-        raise ValueError("initial parameter has zero posterior probability")
 
     burn_in = 10 * config.T if config.burn_in is None else config.burn_in
     thin = max(config.thinning, 1)
@@ -77,20 +83,44 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     rng = np.random.default_rng(config.seed)
     d = model.param_dim
 
+    def log_post(thetas):                              # (B, d) -> (B,)
+        lp = model.loglik_coef(thetas) @ phi_data + model.log_prior(thetas)
+        return np.where(model.in_domain(thetas), lp, -np.inf)
+
+    def n_kept(step):                                  # draws kept before ``step``
+        return max(step - burn_in, 0) // thin
+
     kept = np.empty((config.T, d))
-    n_kept = 0
     accepted = 0
-    for step in range(n_steps):
-        prop = theta + config.step_scale * rng.standard_normal(d)
-        lp_prop = log_post(prop)
-        if np.log(rng.random()) < lp_prop - lp:
-            theta, lp = prop, lp_prop
-            accepted += 1
-        if step >= burn_in and (step - burn_in) % thin == thin - 1:
-            kept[n_kept] = theta
-            n_kept += 1
-    if n_kept != config.T:
-        raise RuntimeError(f"rwm chain kept {n_kept} draws, expected {config.T}")
+    since = 0                                          # step at which theta was set
+    z = np.empty((RWM_CHUNK, d))
+    u = np.empty(RWM_CHUNK)
+    # rows outside the domain are evaluated too, then masked to -inf
+    with np.errstate(all="ignore"):
+        lp = log_post(theta[None, :])[0]
+        if not np.isfinite(lp):
+            raise ValueError("initial parameter has zero posterior probability")
+        for start in range(0, n_steps, RWM_CHUNK):
+            n = min(RWM_CHUNK, n_steps - start)
+            for i in range(n):
+                rng.standard_normal(out=z[i])
+                u[i] = rng.random()
+            moves = config.step_scale * z[:n]
+            log_u = np.log(u[:n])
+            i = 0
+            while i < n:
+                props = theta + moves[i:i + RWM_BLOCK]
+                lp_props = log_post(props)
+                accept = log_u[i:i + RWM_BLOCK] < lp_props - lp
+                j = int(accept.argmax())
+                if not accept[j]:
+                    i += len(props)
+                    continue
+                kept[n_kept(since):n_kept(start + i + j)] = theta
+                theta, lp, since = props[j], lp_props[j], start + i + j
+                accepted += 1
+                i += j + 1
+    kept[n_kept(since):] = theta
     return PosteriorDraws(kept, source="rwm", acceptance_rate=accepted / n_steps)
 
 

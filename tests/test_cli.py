@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from datarecon.cli import main
-from datarecon.measures import Layout, build_measure, save_dataset, save_measure
+from datarecon.measures import Layout, build_measure, load_measure, save_dataset, save_measure
 from datarecon.samplers import load_draws
 
 
@@ -105,6 +105,23 @@ class TestAttackCommand:
         assert "total_mass" in summary["final"]
         assert "total_mass" in summary["final"]["errors"]
 
+    def test_summary_reports_status_draws_and_wall_times(self, runner, tmp_path):
+        _, data_path = _gaussian_dataset(tmp_path, seed=10, d=1)
+        cfg_dict = self._attack_cfg(tmp_path, data_path)
+        cfg_dict["model"]["dim"] = 1
+        cfg_dict["sampler"] = {"kind": "rwm", "T": 20, "burn_in": 20, "seed": 3,
+                               "init": [0.0], "step_scale": 0.5}
+        cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["draws"]["source"] == "rwm"
+        assert summary["draws"]["T"] == 20
+        assert 0.0 < summary["draws"]["acceptance_rate"] < 1.0
+        assert set(summary["wall_s"]) == {"sample", "attack", "write"}
+        assert all(v >= 0.0 for v in summary["wall_s"].values())
+
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         _, data_path = _gaussian_dataset(tmp_path, seed=7)
         cfg_dict = self._attack_cfg(tmp_path, data_path)
@@ -145,6 +162,18 @@ class TestAttackCommand:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "non-finite" in lines[0]
+        # the work done before the divergence is written out
+        out = tmp_path / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "diverged"
+        assert summary["diverged_at"] >= 1
+        assert f"iteration {summary['diverged_at']}" in lines[0]
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) >= 2 and rows[1].startswith("0,")
+        measure = load_measure(out / "measure.csv")
+        assert measure.points.shape == (3, 2)
+        assert np.isfinite(measure.weights).all() and np.isfinite(measure.points).all()
+        assert summary["final"]["total_mass"] == pytest.approx(measure.weights.sum())
 
     def test_nonbayes_requires_theta_star(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", {
@@ -166,6 +195,8 @@ class TestAttackCommand:
         result = runner.invoke(main, ["attack", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "measure.csv").exists()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["draws"] is None and summary["wall_s"]["sample"] is None
 
 
 class TestVerifyCommand:

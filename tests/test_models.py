@@ -150,6 +150,29 @@ class TestPriors:
         assert _prior_score(m, [0.0, 0.0, 2.5])[2] == pytest.approx(-0.4, rel=1e-12)
 
 
+class TestRowwiseDomainAndPrior:
+    def test_in_domain_is_a_per_row_mask(self):
+        thetas = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [3.0, -2.0, 0.0],
+                           [0.0, 0.0, 1e-300]])
+        np.testing.assert_array_equal(KidScoreModel().in_domain(thetas),
+                                      [True, False, False, True])
+        for model in (GaussianMeanLocation(3), BayesLinReg.polynomial(2)):
+            np.testing.assert_array_equal(model.in_domain(thetas), [True] * 4)
+
+    @pytest.mark.parametrize("model, density", [
+        (GaussianMeanLocation(3), lambda t: -0.5 * np.dot(t, t)),
+        (BayesLinReg.polynomial(2), lambda t: -0.5 * np.dot(t, t)),
+        (KidScoreModel(prior_scale=2.5), lambda t: -np.log(1.0 + (t[2] / 2.5) ** 2)),
+    ])
+    def test_log_prior_is_row_wise(self, model, density):
+        thetas = np.random.default_rng(17).standard_normal((5, 3)) + [0.0, 0.0, 2.0]
+        rows = model.log_prior(thetas)
+        assert rows.shape == (5,)
+        for theta, value in zip(thetas, rows):
+            assert value == pytest.approx(density(theta), rel=1e-12)
+            assert model.log_prior(theta) == pytest.approx(value, rel=1e-14)
+
+
 class TestLossModels:
     def test_squared_error_zero_residual(self):
         m = SquaredErrorLoss(IdentityFeatures(1), Layout(p=2, x_idx=(0,), y_idx=1))

@@ -3,6 +3,8 @@ import pytest
 
 from datarecon.models import BayesLinReg, GaussianMeanLocation, KidScoreModel
 from datarecon.samplers import (
+    RWM_BLOCK,
+    RWM_CHUNK,
     SamplerConfig,
     exact_gaussian_mean_draws,
     load_draws,
@@ -74,6 +76,11 @@ class TestRwm:
                             init=(0.0, 0.0, 1.0))
         draws = rwm_draws(KidScoreModel(), X, cfg)
         assert np.all(draws.draws[:, 2] > 0)
+        # rows with sigma <= 0 are masked out of the batched log posterior,
+        # which would otherwise accept some; the chain is the step-by-step one
+        kept, rate = _step_by_step_chain(KidScoreModel(), X, cfg)
+        np.testing.assert_array_equal(draws.draws, kept)
+        assert draws.acceptance_rate == rate
 
     def test_deterministic_in_seed(self):
         X = np.array([[0.5], [1.5]])
@@ -98,34 +105,83 @@ class TestRwm:
         # the chain evaluates the likelihood from the data's feature sums;
         # the same chain with the per-point log-likelihood summed over the
         # data must accept the same proposals
-        rng = np.random.default_rng(list(name.encode()))
-        N = 40
-        s = rng.standard_normal(N)
-        y = 0.2 + 0.5 * s + rng.standard_normal(N)
-        if name == "kidscore":
-            model, X, init = KidScoreModel(), np.column_stack([np.ones(N), s, y]), (0.0, 0.0, 1.0)
-        else:
-            model, X, init = BayesLinReg.polynomial(3), np.column_stack([s, y]), (0.0,) * 4
+        model, X, init = _chain_problem(name)
         cfg = SamplerConfig(T=100, burn_in=100, thinning=2, step_scale=0.2, seed=15, init=init)
         draws = rwm_draws(model, X, cfg)
+        kept, _ = _step_by_step_chain(model, X, cfg)
+        np.testing.assert_array_equal(draws.draws, kept)
 
-        def log_post(t):
-            if not model.in_domain(t[None, :]):
-                return -np.inf
-            return float(np.sum(model.log_lik_batch(t, X))) + model.log_prior(t)
 
-        step_rng = np.random.default_rng(cfg.seed)
-        theta = np.array(init)
-        lp = log_post(theta)
-        kept = []
-        for step in range(cfg.burn_in + cfg.T * cfg.thinning):
-            prop = theta + cfg.step_scale * step_rng.standard_normal(model.param_dim)
-            lp_prop = log_post(prop)
-            if np.log(step_rng.random()) < lp_prop - lp:
-                theta, lp = prop, lp_prop
-            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == cfg.thinning - 1:
-                kept.append(theta)
-        np.testing.assert_array_equal(draws.draws, np.array(kept))
+def _chain_problem(name):
+    """A model, a 40-point dataset and an initial parameter."""
+    rng = np.random.default_rng(list(name.encode()))
+    N = 40
+    if name == "gaussian_mean":
+        return GaussianMeanLocation(2), rng.standard_normal((N, 2)) + 0.5, (0.0, 0.0)
+    s = rng.standard_normal(N)
+    y = 0.2 + 0.5 * s + rng.standard_normal(N)
+    if name == "kidscore":
+        return KidScoreModel(), np.column_stack([np.ones(N), s, y]), (0.0, 0.0, 1.0)
+    return BayesLinReg.polynomial(3), np.column_stack([s, y]), (0.0,) * 4
+
+
+def _step_by_step_chain(model, X, cfg):
+    """Reference random-walk Metropolis: one proposal per step, scored with
+    the per-point log-likelihood summed over the data. Returns the kept
+    draws and the acceptance rate."""
+    def log_post(t):
+        if not model.in_domain(t[None, :]):
+            return -np.inf
+        return float(np.sum(model.log_lik_batch(t, X))) + model.log_prior(t)
+
+    burn_in = 10 * cfg.T if cfg.burn_in is None else cfg.burn_in
+    thin = max(cfg.thinning, 1)
+    n_steps = burn_in + cfg.T * thin
+    step_rng = np.random.default_rng(cfg.seed)
+    theta = np.array(cfg.init)
+    lp = log_post(theta)
+    kept = []
+    accepted = 0
+    for step in range(n_steps):
+        prop = theta + cfg.step_scale * step_rng.standard_normal(model.param_dim)
+        lp_prop = log_post(prop)
+        if np.log(step_rng.random()) < lp_prop - lp:
+            theta, lp = prop, lp_prop
+            accepted += 1
+        if step >= burn_in and (step - burn_in) % thin == thin - 1:
+            kept.append(theta)
+    return np.array(kept), accepted / n_steps
+
+
+class TestBlockedChain:
+    """rwm_draws scores proposals in blocks from the current state; its
+    draws and acceptance rate must be those of the step-by-step chain."""
+
+    @pytest.mark.parametrize("name", ["gaussian_mean", "kidscore", "bayes_linreg_poly"])
+    @pytest.mark.parametrize("case", ["chunks", "no_burn_in_thin0", "no_burn_in_thin1",
+                                      "rejects", "accepts"])
+    def test_matches_step_by_step_chain(self, name, case):
+        model, X, init = _chain_problem(name)
+        settings = {
+            # 2617 steps: past two chunk boundaries, not a multiple of a block
+            "chunks": dict(T=700, burn_in=517, thinning=3, step_scale=0.2),
+            "no_burn_in_thin0": dict(T=300, burn_in=0, thinning=0, step_scale=0.2),
+            "no_burn_in_thin1": dict(T=300, burn_in=0, thinning=1, step_scale=0.2),
+            "rejects": dict(T=150, burn_in=100, thinning=2, step_scale=2.0),
+            "accepts": dict(T=150, burn_in=100, thinning=2, step_scale=1e-8),
+        }[case]
+        cfg = SamplerConfig(seed=16, init=init, **settings)
+        draws = rwm_draws(model, X, cfg)
+        kept, rate = _step_by_step_chain(model, X, cfg)
+        np.testing.assert_array_equal(draws.draws, kept)
+        assert draws.acceptance_rate == rate
+        if case == "chunks":
+            n_steps = cfg.burn_in + cfg.T * cfg.thinning
+            assert n_steps > 2 * RWM_CHUNK and n_steps % RWM_BLOCK != 0
+        elif case == "rejects":
+            assert rate < 0.05
+        elif case == "accepts":
+            assert rate > 0.99
 
 
 class TestSamplerConfig:
