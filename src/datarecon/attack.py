@@ -4,14 +4,17 @@ Adam updates and convergence traces of the recoverable statistics.
 Three objective modes: 'fd' (integration-by-parts trace form), 'sfd'
 (sliced quadratic forms, fresh slice directions every iteration) and
 'nonbayes' (squared norm of the weighted loss-gradient sum at the released
-parameters). The fd and sfd values and gradients are assembled in statistic
-space, from the feature sums of the pseudo-measure and per-draw coefficients
-computed once per run; the nonbayes ones from the loss callbacks.
+parameters). All three are assembled in statistic space by one evaluator:
+the pseudo-measure enters only through a feature sum, which a per-mode head
+(per-draw coefficients computed once per run for fd/sfd, the regularizer
+gradient for nonbayes) maps to the value and its gradient.
 Coordinates marked frozen in the layout receive no gradient and never move.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +69,7 @@ class AttackConfig:
         for name in ("lr_w", "lr_z"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (np.isfinite(value) and value > 0)):
+                    or not 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
@@ -83,9 +86,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -99,11 +99,11 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
     if params.shape != grads.shape or state.m.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
     state.step += 1
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grads**2
-    m_hat = state.m / (1 - state.beta1**state.step)
-    v_hat = state.v / (1 - state.beta2**state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
+    m_hat = state.m / (1 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1 - ADAM_BETA2**state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def draw_slices(rng: np.random.Generator, T: int, L: int, d: int) -> np.ndarray:
@@ -140,82 +140,72 @@ def initialize_pseudo(model, config: AttackConfig, draws: PosteriorDraws | None 
 
 # --- objective values and gradients ------------------------------------------
 
-def _bayes_value_and_grads(model, coef, measure, slices=None, want_grads=True):
-    """fd/sfd objective in statistic space: the measure enters only through
-    its feature sums Phi = sum_m w_m phi(z_m). ``coef`` holds the per-draw
-    coefficients; ``slices is None`` selects the trace (fd) form."""
-    w = measure.weights
-    phi = model.phi(measure.points)                              # (M, K)
-    per_draw, c, S = coef.per_draw(w @ phi, slices)
-    value = float(np.mean(per_draw))
-    if not want_grads:
-        return value, None, None
-    g = c.mean(axis=0) + np.einsum("tdk,td->k", coef.A, S) / coef.T   # d value / d Phi
-    grad_w = phi @ g
-    grad_z = w[:, None] * np.einsum("mkp,k->mp", model.phi_jac(measure.points), g)
-    return value, grad_w, grad_z
-
-
-def _nonbayes_value_and_grads(loss_model, theta_star, measure, want_grads=True):
-    w = measure.weights
-    if want_grads:
-        grads, jac = loss_model.grad_and_jac_batch(theta_star, measure.points)
-    else:
-        grads = loss_model.grad_theta_batch(theta_star, measure.points)   # (M, d)
-    G = loss_model.reg_grad(theta_star) + w @ grads
-    value = float(G @ G)
-    if not want_grads:
-        return value, None, None
-    grad_w = 2.0 * grads @ G
-    grad_z = 2.0 * w[:, None] * np.einsum("mdj,d->mj", jac, G)
-    return value, grad_w, grad_z
-
-
 def objective_value(objective: str, model, measure, *, draws=None, slices=None,
                     theta_star=None) -> float:
     """Scalar objective being minimised (nonbayes mode: the squared gradient
     norm, whose gradients are smooth at the optimum)."""
-    v, _, _ = _dispatch(objective, model, measure, draws, slices, theta_star,
-                        want_grads=False)
-    return v
+    return _evaluator(objective, model, draws, theta_star)(measure, slices, False)[0]
 
 
 def objective_gradients(objective: str, model, measure, *, draws=None, slices=None,
                         theta_star=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the scalar objective with respect to the weights (M,) and
     the free pseudo-data coordinates (M, p_free)."""
-    _, gw, gz = _dispatch(objective, model, measure, draws, slices, theta_star,
-                          want_grads=True)
+    _, gw, gz = _evaluator(objective, model, draws, theta_star)(measure, slices, True)
     return gw, gz
 
 
 def _evaluator(objective, model, draws, theta_star):
     """Check the run-level inputs of an objective once and return
-    ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``."""
+    ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``.
+
+    Every mode depends on the measure only through the feature sum
+    Phi = w @ phi(Z). ``features`` gives phi (M, K) and, on request, its data
+    Jacobian (M, K, p_free); ``head`` maps Phi to the value and its gradient
+    g in Phi. fd/sfd: phi is the model's features and the head is the
+    posterior coefficients. nonbayes: phi(z) = grad_theta loss(theta*, z)
+    and the value is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
+    """
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
         coef = PosteriorCoefficients(model, draws.draws)
-        return lambda meas, slices, want: _bayes_value_and_grads(model, coef, meas, slices, want)
-    if objective == "nonbayes":
+        sliced = objective == "sfd"
+
+        def features(points, want_jac):
+            return model.phi(points), model.phi_jac(points) if want_jac else None
+
+        def head(Phi, slices):
+            if (slices is None) == sliced:
+                raise ValueError("sfd objective requires slice directions" if sliced
+                                 else "fd objective takes no slices")
+            return coef.value_and_grad(Phi, slices)
+    elif objective == "nonbayes":
         if theta_star is None:
             raise ValueError("nonbayes objective requires released parameters")
         theta_star = np.asarray(theta_star, dtype=float).ravel()
-        return lambda meas, slices, want: _nonbayes_value_and_grads(model, theta_star, meas, want)
-    raise ValueError(f"unknown objective: {objective!r}")
+        reg = model.reg_grad(theta_star)
 
+        def features(points, want_jac):
+            if want_jac:
+                return model.grad_and_jac_batch(theta_star, points)
+            return model.grad_theta_batch(theta_star, points), None
 
-def _dispatch(objective, model, measure, draws, slices, theta_star, want_grads):
-    evaluate = _evaluator(objective, model, draws, theta_star)
-    if objective == "sfd":
-        if slices is None:
-            raise ValueError("sfd objective requires slice directions")
-        slices = np.asarray(slices, dtype=float)
-        if slices.shape[0] != draws.T or slices.shape[2] != model.param_dim:
-            raise ValueError("slices must have shape (T, L, d)")
-    elif objective == "fd" and slices is not None:
-        raise ValueError("fd objective takes no slices")
-    return evaluate(measure, slices, want_grads)
+        def head(Phi, slices):
+            G = reg + Phi
+            return float(G @ G), 2.0 * G
+    else:
+        raise ValueError(f"unknown objective: {objective!r}")
+
+    def evaluate(measure, slices, want_grads):
+        w = measure.weights
+        phi, phi_jac = features(measure.points, want_grads)
+        value, g = head(w @ phi, slices)
+        if not want_grads:
+            return value, None, None
+        return value, phi @ g, w[:, None] * np.einsum("mkp,k->mp", phi_jac, g)
+
+    return evaluate
 
 
 # --- attack loop ---------------------------------------------------------------
@@ -233,34 +223,30 @@ class AttackTrace:
     header: dict
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
-    def columns(self) -> list[str]:
-        if not self.checkpoints:
-            return []
-        first = self.checkpoints[0]
-        cols = ["iteration", "objective", "total_mass"]
-        cols += list(first.stats.moments().keys())
-        px = first.stats.layout.px
-        cols += [f"gram_{i}_{j}" for i in range(px) for j in range(i, px)]
-        if first.stats.layout.y_idx is not None:
-            cols += [f"xy_{i}" for i in range(px)] + ["yy"]
-        if first.errors is not None:
-            cols += [f"err_{k}" for k in first.errors]
-        return cols
-
     def rows(self):
+        """One list of (column name, value) pairs per checkpoint."""
         for cp in self.checkpoints:
-            row = [float(cp.iteration), cp.objective, cp.stats.total_mass]
-            row += list(cp.stats.moments().values())
-            px = cp.stats.layout.px
-            row += [cp.stats.weighted_gram[i, j] for i in range(px) for j in range(i, px)]
-            if cp.stats.layout.y_idx is not None:
-                row += list(cp.stats.weighted_xy) + [cp.stats.weighted_yy]
+            stats = cp.stats
+            px = stats.layout.px
+            row = [("iteration", float(cp.iteration)), ("objective", cp.objective),
+                   ("total_mass", stats.total_mass)]
+            row += stats.moments().items()
+            row += [(f"gram_{i}_{j}", stats.weighted_gram[i, j])
+                    for i in range(px) for j in range(i, px)]
+            if stats.layout.y_idx is not None:
+                row += [(f"xy_{i}", v) for i, v in enumerate(stats.weighted_xy)]
+                row += [("yy", stats.weighted_yy)]
             if cp.errors is not None:
-                row += list(cp.errors.values())
+                row += [(f"err_{k}", v) for k, v in cp.errors.items()]
             yield row
 
     def write_csv(self, path) -> None:
-        write_rows(path, self.columns(), self.rows())
+        # streamed row by row: a long trace's name/value pairs are never all
+        # held at once
+        rows = self.rows()
+        first = next(rows, [])
+        write_rows(path, [name for name, _ in first],
+                   ([v for _, v in row] for row in itertools.chain([first], rows) if row))
 
 
 def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = None,

@@ -75,8 +75,9 @@ def _int(section: str, cfg: dict, key: str, default, minimum: int) -> int:
 
 def _number(section: str, cfg: dict, key: str, default, positive=True) -> float:
     value = cfg.get(key, default)
+    # the chained comparison also rejects NaN and integers beyond float range
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value) or value < 0 or (positive and value == 0)):
+            or not 0 <= value <= sys.float_info.max or (positive and value == 0)):
         kind = "positive" if positive else "non-negative"
         raise ConfigError(f"{section}.{key} must be a finite {kind} number, got {value!r}")
     return float(value)
@@ -92,6 +93,13 @@ def _vector(section: str, cfg: dict, key: str, length: int) -> tuple[float, ...]
     return tuple(float(v) for v in value)
 
 
+def _path(section: str, cfg: dict, key: str, default=None) -> Path:
+    value = cfg.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{section}.{key} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -100,6 +108,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     _check_keys("", cfg)
     for section in cfg:
         if not isinstance(cfg[section], dict):
@@ -144,8 +154,8 @@ def build_model(cfg: dict):
 def _load_data(cfg: dict, model) -> np.ndarray:
     if "data" not in cfg or "path" not in cfg["data"]:
         raise ConfigError("data.path is required for this command")
-    path = cfg["data"]["path"]
-    if not Path(path).exists():
+    path = _path("data", cfg["data"], "path")
+    if not path.exists():
         raise ConfigError(f"data file not found: {path}")
     points, _ = load_dataset(path)
     if points.shape[1] != model.layout.p:
@@ -160,9 +170,9 @@ def _get_draws(cfg: dict, model) -> PosteriorDraws:
         raise ConfigError("sampler section is required")
     kind = sampler.get("kind")
     if kind == "file":
-        path = sampler.get("path")
-        if path is None or not Path(path).exists():
-            raise ConfigError(f"sampler.path missing or not found: {path}")
+        path = _path("sampler", sampler, "path")
+        if not path.exists():
+            raise ConfigError(f"sampler.path not found: {path}")
         draws = load_draws(path)
         if draws.dim != model.param_dim:
             raise ConfigError(
@@ -192,9 +202,7 @@ def _get_draws(cfg: dict, model) -> PosteriorDraws:
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("output", {}).get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _path("output", cfg.get("output", {}), "dir", ".")
 
 
 @click.group()
@@ -209,8 +217,9 @@ def sample(config_path):
     try:
         cfg = load_config(config_path)
         model = build_model(cfg.get("model", {}))
-        draws = _get_draws(cfg, model)
         out = _outdir(cfg)
+        draws = _get_draws(cfg, model)
+        out.mkdir(parents=True, exist_ok=True)
         path = out / "draws.csv"
         save_draws(path, draws)
         msg = f"wrote {draws.T} draws to {path}"
@@ -236,7 +245,10 @@ def attack(config_path):
             raise ConfigError(f"attack section is missing {missing}")
         theta_star = acfg_raw.pop("theta_star", None)
         trace_target = acfg_raw.pop("trace_target", False)
+        if not isinstance(trace_target, bool):
+            raise ConfigError(f"attack.trace_target must be true or false, got {trace_target!r}")
         acfg = AttackConfig(**acfg_raw)
+        out = _outdir(cfg)
         if isinstance(model, LossModel) != (acfg.objective == "nonbayes"):
             kind = "loss" if isinstance(model, LossModel) else "likelihood"
             raise ConfigError(f"objective {acfg.objective!r} does not apply to the "
@@ -272,7 +284,7 @@ def attack(config_path):
         wall["attack"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        out = _outdir(cfg)
+        out.mkdir(parents=True, exist_ok=True)
         trace.write_csv(out / "trace.csv")
         save_measure(out / "measure.csv", measure, model.layout)
         stats = recon_statistics(measure, model.layout)

@@ -90,9 +90,14 @@ class PosteriorCoefficients:
     def curvature(self, slices=None):
         """Curvature coefficients c (T, K) and the prior's curvature (T,):
         <B_tk, V_t> and <P_t, V_t> with V_t = I (trace form) or, for slices
-        of shape (T, L, d), the slice average of v v^T."""
+        of shape (T, L, d) with L >= 1, the slice average of v v^T. Slices
+        of any other shape raise ``ValueError``."""
         if slices is None:
             return self.trace_c, self.trace_prior
+        slices = np.asarray(slices, dtype=float)
+        T, d = self.prior_score.shape
+        if slices.ndim != 3 or slices.shape[0] != T or slices.shape[1] < 1 or slices.shape[2] != d:
+            raise ValueError(f"slices must have shape (T={T}, L>=1, d={d}), got {slices.shape}")
         V = slices.transpose(0, 2, 1) @ slices / slices.shape[1]
         return (np.einsum("tkij,tij->tk", self.B, V),
                 np.einsum("tij,tij->t", self.prior_hess, V))
@@ -103,6 +108,13 @@ class PosteriorCoefficients:
         c, c_prior = self.curvature(slices)
         S = self.prior_score + self.A @ Phi
         return c_prior + c @ Phi + 0.5 * np.sum(S**2, axis=1), c, S
+
+    def value_and_grad(self, Phi, slices=None):
+        """The draw-averaged objective at feature sums Phi and its gradient
+        in Phi: the mean of c_t + A_t^T S_t."""
+        per_draw, c, S = self.per_draw(Phi, slices)
+        g = c.mean(axis=0) + np.einsum("tdk,td->k", self.A, S) / self.T
+        return float(np.mean(per_draw)), g
 
 
 def fd_ibp_objective(model, draws: PosteriorDraws, recon_measure) -> DivergenceEstimate:
@@ -117,9 +129,6 @@ def sfd_objective(model, draws: PosteriorDraws, slices, recon_measure) -> Diverg
     """Sliced form: the trace term is replaced by quadratic forms along the
     provided slice directions (shape (T, L, d)), averaged over the slices."""
     coef = PosteriorCoefficients(model, draws.draws)
-    slices = np.asarray(slices, dtype=float)
-    if slices.ndim != 3 or slices.shape[0] != coef.T or slices.shape[2] != model.param_dim:
-        raise ValueError("slices must have shape (T, L, d)")
     Phi = recon_measure.weights @ model.phi(recon_measure.points)
     return _estimate(coef.per_draw(Phi, slices)[0], constant_note=True)
 

@@ -426,9 +426,10 @@ class KidScoreModel(_GaussianRegression):
 # --- loss model contract -----------------------------------------------------
 
 class LossModel:
-    """Contract for trained (non-Bayesian) models: per-datum loss, its
-    parameter gradient and the data-Jacobian of that gradient, plus an
-    optional regularizer."""
+    """Contract for trained (non-Bayesian) models: per-datum loss
+    (``loss_batch``), its parameter gradient together with the data-Jacobian
+    of that gradient (``grad_and_jac_batch``), and a ridge regularizer. The
+    gradient alone (``grad_theta_batch``) is derived."""
 
     param_dim: int
     layout: Layout
@@ -437,11 +438,11 @@ class LossModel:
     def loss_batch(self, theta, points):            # (M,)
         raise NotImplementedError
 
-    def grad_theta_batch(self, theta, points):      # (M, d)
-        raise NotImplementedError
-
     def grad_and_jac_batch(self, theta, points):    # (M, d), (M, d, p_free)
         raise NotImplementedError
+
+    def grad_theta_batch(self, theta, points):      # (M, d)
+        return self.grad_and_jac_batch(theta, points)[0]
 
     def reg_value(self, theta) -> float:
         return self.ridge * float(np.sum(np.asarray(theta) ** 2))
@@ -490,10 +491,6 @@ class SquaredErrorLoss(LossModel):
     def loss_batch(self, theta, points):
         return -2.0 * self._lik.log_lik_batch(theta, points)
 
-    def grad_theta_batch(self, theta, points):
-        A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
-        return -2.0 * self._lik.phi(points) @ A.T
-
     def grad_and_jac_batch(self, theta, points):
         A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
         return (-2.0 * self._lik.phi(points) @ A.T,
@@ -526,10 +523,6 @@ class LogisticLoss(LossModel):
     def loss_batch(self, theta, points):
         _, _, z, _ = self._parts(theta, points)
         return np.logaddexp(0.0, -z)
-
-    def grad_theta_batch(self, theta, points):
-        x, y, _, s = self._parts(theta, points)
-        return -(y * s)[:, None] * x
 
     def grad_and_jac_batch(self, theta, points):
         theta = np.asarray(theta, dtype=float)

@@ -241,13 +241,19 @@ class TestObjectiveGradients:
     def test_missing_inputs_rejected(self):
         model = GaussianMeanLocation(1)
         m = build_measure([[0.0]])
+        draws = exact_gaussian_mean_draws([[0.0]], 5)
         with pytest.raises(ValueError):
             objective_value("fd", model, m)
         with pytest.raises(ValueError):
-            objective_value("sfd", model, m,
-                            draws=exact_gaussian_mean_draws([[0.0]], 5))
+            objective_value("sfd", model, m, draws=draws)
         with pytest.raises(ValueError):
             objective_value("nonbayes", model, m)
+        # slices of shape (T, d) or with no slice per draw (L = 0)
+        for shape in ((5, 1), (5, 0, 1)):
+            with pytest.raises(ValueError, match="slices must have shape"):
+                objective_value("sfd", model, m, draws=draws, slices=np.zeros(shape))
+            with pytest.raises(ValueError, match="slices must have shape"):
+                objective_gradients("sfd", model, m, draws=draws, slices=np.zeros(shape))
 
 
 class TestRunAttack:

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from datarecon.cli import main
+from datarecon.cli import _SECTION_KEYS, main
 from datarecon.measures import Layout, build_measure, load_measure, save_dataset, save_measure
 from datarecon.samplers import load_draws
 
@@ -275,8 +278,24 @@ def _nonbayes_cfg(tmp_path, data_path):
     }
 
 
-# (case id, base config, section, key, bad value)
+def _file_draws_cfg(tmp_path, data_path):
+    cfg = _bayes_cfg(tmp_path, data_path)
+    cfg["sampler"] = {"kind": "file", "path": str(tmp_path / "draws.csv")}
+    return cfg
+
+
+# (case id, base config, section, key, bad value); section None replaces the
+# whole config
 BAD_ATTACK_INPUTS = [
+    ("top_level_null", _bayes_cfg, None, None, None),
+    ("top_level_list", _bayes_cfg, None, None, []),
+    ("top_level_number", _bayes_cfg, None, None, 5),
+    ("data_path_number", _bayes_cfg, "data", "path", 5),
+    ("sampler_path_number", _file_draws_cfg, "sampler", "path", 5),
+    ("output_dir_number", _bayes_cfg, "output", "dir", 5),
+    ("trace_target_string", _bayes_cfg, "attack", "trace_target", "no"),
+    ("lr_w_beyond_float_range", _nonbayes_cfg, "attack", "lr_w", 2**1024),
+    ("step_scale_beyond_float_range", _bayes_cfg, "sampler", "step_scale", 10**400),
     ("M_string", _bayes_cfg, "attack", "M", "5"),
     ("M_float", _bayes_cfg, "attack", "M", 2.5),
     ("iters_bool", _nonbayes_cfg, "attack", "iters", True),
@@ -307,7 +326,10 @@ class TestAttackConfigErrors:
                                                      section, key, value):
         _, data_path = _gaussian_dataset(tmp_path, seed=13)
         cfg_dict = base(tmp_path, data_path)
-        cfg_dict[section][key] = value
+        if section is None:
+            cfg_dict = value
+        else:
+            cfg_dict[section][key] = value
         if case == "loss_model_with_sfd":
             cfg_dict["attack"]["objective"] = "sfd"
         if case == "likelihood_model_with_nonbayes":
@@ -319,3 +341,60 @@ class TestAttackConfigErrors:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+# Drawn JSON values. Integers stay small so that a drawn size (M, iters, T,
+# L, ...) keeps each run to milliseconds; the range checks on sizes are the
+# cases above. Strings have no path separators or dots, so a drawn output
+# directory stays inside the run's own directory.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+                 | st.text(alphabet="abcdefrsxyz_01", max_size=6)
+                 | st.sampled_from(["fd", "sfd", "nonbayes", "exact", "rwm", "file",
+                                    "gaussian_mean", "bayes_linreg", "kidscore",
+                                    "squared_error", "logistic"]))
+# objects are keyed mostly by config key names, so that a drawn section
+# passes the unknown-key check and reaches the checks behind it
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(sorted(set().union(*_SECTION_KEYS.values()))) | st.text(max_size=2),
+        inner, max_size=4),
+    max_leaves=6)
+_SECTIONS = sorted(k for k in _SECTION_KEYS if k)
+# (section, key, value): key None replaces the whole section, section None
+# the whole config
+_EDITS = st.one_of(
+    st.sampled_from(_SECTIONS).flatmap(lambda section: st.tuples(
+        st.just(section), st.sampled_from(sorted(_SECTION_KEYS[section])),
+        _JSON_SCALARS | _JSON)),
+    st.tuples(st.sampled_from([None, *_SECTIONS]), st.none(), _JSON),
+)
+
+
+class TestAttackConfigFuzz:
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+    def test_drawn_configs_never_raise(self, runner, tmp_path, edits):
+        cfg = {
+            "model": {"name": "gaussian_mean", "dim": 2},
+            "data": {"path": "data.csv"},
+            "sampler": {"kind": "exact", "T": 10, "seed": 1},
+            "attack": {"objective": "sfd", "M": 2, "iters": 3, "L": 2, "seed": 2,
+                       "trace_every": 1, "trace_target": True, "theta_star": [0.5]},
+            "output": {"dir": "out"},
+        }
+        for section, key, value in edits:
+            if section is None:
+                cfg = value
+            elif isinstance(cfg, dict):
+                if key is not None:
+                    old = cfg.get(section)
+                    value = {**old, key: value} if isinstance(old, dict) else {key: value}
+                cfg[section] = value
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            _gaussian_dataset(Path("."), seed=14)
+            _write_config("cfg.json", cfg)
+            result = runner.invoke(main, ["attack", "--config", "cfg.json"])
+        assert result.exit_code in (0, 2, 3), (cfg, result.output, result.exception)
+        assert "Traceback" not in result.output

@@ -139,8 +139,10 @@ class TestSfd:
         model = GaussianMeanLocation(2)
         draws = PosteriorDraws(np.zeros((3, 2)))
         m = build_measure([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            sfd_objective(model, draws, np.zeros((2, 4, 2)), m)
+        # wrong T, wrong d, no slice axis, no slice per draw (L = 0)
+        for shape in ((2, 4, 2), (3, 4, 1), (3, 2), (3, 0, 2)):
+            with pytest.raises(ValueError, match="slices must have shape"):
+                sfd_objective(model, draws, np.zeros(shape), m)
 
     def test_large_l_matches_fd_ibp(self):
         rng = np.random.default_rng(8)
