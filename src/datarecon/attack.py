@@ -71,14 +71,11 @@ class AttackConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        for name, low in (("M", 1), ("iters", 1), ("seed", 0), ("trace_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.objective == "sfd" and self.L < 1:
             raise ValueError("L must be >= 1 for the sliced objective")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
 
 @dataclass

@@ -157,14 +157,19 @@ def _load_data(cfg: dict, model) -> np.ndarray:
     path = _path("data", cfg["data"], "path")
     if not path.exists():
         raise ConfigError(f"data file not found: {path}")
-    points, _ = load_dataset(path)
+    points, header = load_dataset(path)
     if points.shape[1] != model.layout.p:
         raise ConfigError(
             f"data has {points.shape[1]} coordinates, model expects {model.layout.p}")
+    for idx, value in zip(model.layout.frozen_idx, model.layout.frozen_values):
+        if np.any(points[:, idx] != value):
+            raise ConfigError(f"data column {header[idx]!r} must be {value:g} in every row: "
+                              f"the model holds that coordinate fixed")
     return points
 
 
-def _get_draws(cfg: dict, model) -> PosteriorDraws:
+def _get_draws(cfg: dict, model) -> tuple[PosteriorDraws, np.ndarray | None]:
+    """The posterior draws, and the data points if the sampler read them."""
     sampler = cfg.get("sampler")
     if sampler is None:
         raise ConfigError("sampler section is required")
@@ -177,14 +182,14 @@ def _get_draws(cfg: dict, model) -> PosteriorDraws:
         if draws.dim != model.param_dim:
             raise ConfigError(
                 f"draws have {draws.dim} columns, model expects {model.param_dim}")
-        return draws
+        return draws, None
     X = _load_data(cfg, model)
     T = _int("sampler", sampler, "T", 1000, 1)
     seed = _int("sampler", sampler, "seed", 0, 0)
     if kind == "exact":
         if not isinstance(model, GaussianMeanLocation):
             raise ConfigError("exact sampling is only available for gaussian_mean")
-        return exact_gaussian_mean_draws(X, T, seed)
+        return exact_gaussian_mean_draws(X, T, seed), X
     if kind == "rwm":
         if sampler.get("init") is None:
             raise ConfigError("sampler.init is required for rwm")
@@ -197,7 +202,7 @@ def _get_draws(cfg: dict, model) -> PosteriorDraws:
             seed=seed,
             init=_vector("sampler", sampler, "init", model.param_dim),
         )
-        return rwm_draws(model, X, sc)
+        return rwm_draws(model, X, sc), X
     raise ConfigError(f"unknown sampler.kind: {kind!r}")
 
 
@@ -218,7 +223,7 @@ def sample(config_path):
         cfg = load_config(config_path)
         model = build_model(cfg.get("model", {}))
         out = _outdir(cfg)
-        draws = _get_draws(cfg, model)
+        draws, _ = _get_draws(cfg, model)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "draws.csv"
         save_draws(path, draws)
@@ -255,10 +260,10 @@ def attack(config_path):
                               f"{kind} model {cfg['model']['name']!r}")
 
         wall = {"sample": None}
-        draws = None
+        draws = data = None
         if acfg.objective in ("fd", "sfd"):
             t0 = time.perf_counter()
-            draws = _get_draws(cfg, model)
+            draws, data = _get_draws(cfg, model)
             wall["sample"] = time.perf_counter() - t0
         elif theta_star is None:
             raise ConfigError("attack.theta_star is required for the nonbayes objective")
@@ -267,7 +272,7 @@ def attack(config_path):
 
         target_points = None
         if trace_target:
-            target_points = _load_data(cfg, model)
+            target_points = _load_data(cfg, model) if data is None else data
 
         # run_attack stops at the first non-finite objective, which is reported
         # as one error line after the work done so far is written; numpy's

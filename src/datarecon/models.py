@@ -34,21 +34,15 @@ def _sigmoid(z):
 
 
 # --- feature maps ------------------------------------------------------------
+#
+# A feature map psi is a table of exponents E (q, px): psi_i(x) is the
+# monomial prod_c x_c^E_ic of the x-part.
 
 class IdentityFeatures:
     """psi(x) = x, for an x-part that may carry a fixed intercept coordinate."""
 
     def __init__(self, px: int):
-        self.dim = px
-        self.px = px
-
-    def value(self, x):
-        return np.asarray(x, dtype=float)
-
-    def jac(self, x):
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(self.dim)
-        return np.broadcast_to(eye, x.shape[:-1] + (self.dim, self.px)).copy()
+        self.exponents = np.eye(px, dtype=int)
 
 
 class PolynomialFeatures:
@@ -57,20 +51,21 @@ class PolynomialFeatures:
     def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        self.degree = degree
-        self.dim = degree + 1
-        self.px = 1
+        self.exponents = np.arange(degree + 1)[:, None]
 
-    def value(self, x):
-        s = np.asarray(x, dtype=float)[..., 0]
-        return np.stack([s**r for r in range(self.degree + 1)], axis=-1)
 
-    def jac(self, x):
-        s = np.asarray(x, dtype=float)[..., 0]
-        cols = [np.zeros_like(s)] + [
-            r * s ** (r - 1) for r in range(1, self.degree + 1)
-        ]
-        return np.stack(cols, axis=-1)[..., None]
+def _monomials(z, E):
+    """The monomials prod_c z_c^E_kc of each row of z (M, cols): (M, K). The
+    powers of each coordinate come from repeated multiplication."""
+    top = E.max()
+    powers = np.empty((z.shape[1], len(z), top + 1))
+    powers[..., 0] = 1.0
+    for e in range(1, top + 1):
+        powers[..., e] = powers[..., e - 1] * z.T
+    out = powers[0][:, E[:, 0]]
+    for c in range(1, E.shape[1]):
+        out *= powers[c][:, E[:, c]]
+    return out
 
 
 def _intercept_regression(x_dim: int):
@@ -245,75 +240,77 @@ class _GaussianRegression(LikelihoodModel):
 
         log l = c(s) - (<beta, psi(x)> - u)^2 / (2 s^2).
 
-    Expanding the square gives the features
-    phi(z) = (1, psi_i psi_j for i <= j, u psi, u^2) and
-    a = c(s) e_1 + q(beta) / s^2, with q quadratic in beta; ``_q``, ``_dq``
-    and ``_d2q`` hold q and its first and (constant) second derivatives.
+    With psi~ = (psi(x), u) and beta~ = (beta, -1) the square is
+    beta~^T (psi~ psi~^T) beta~. Each product psi~_i psi~_j is a monomial in
+    the free data coordinates (frozen ones are pinned at 1); phi(z) holds
+    each distinct monomial once, the constant first, and the 0/1 matrix Q_k
+    marks the products equal to monomial k. Then a = c(s) e_1 + q(beta) / s^2
+    with q_k = -beta~^T Q_k beta~ / 2; ``_q``, ``_dq`` and ``_d2q`` hold q
+    and its first and (constant) second derivatives in beta.
     """
 
     def __init__(self, features, layout: Layout):
         if layout.y_idx is None:
             raise ValueError("a regression model requires a y coordinate in the layout")
-        if features.px != layout.px:
+        psi_exp = features.exponents
+        if psi_exp.shape[1] != layout.px:
             raise ValueError("feature map input size must match the layout x-part")
+        if any(v != 1.0 for v in layout.frozen_values):
+            raise ValueError("a regression layout must pin its frozen coordinates at 1")
         self.features = features
         self.layout = layout
-        q = features.dim
-        self._I, self._J = np.triu_indices(q)
-        n_pairs = len(self._I)
-        # <beta, psi>^2 / 2 = sum over pairs i <= j of half_ij beta_i beta_j psi_i psi_j
-        self._half = np.where(self._I == self._J, 0.5, 1.0)
-        self._pairs = slice(1, 1 + n_pairs)
-        self._lin = slice(1 + n_pairs, 1 + n_pairs + q)
-        self.n_features = 2 + n_pairs + q
-        self._q_const = np.zeros(self.n_features)        # q's only constant: -u^2 / 2
-        self._q_const[-1] = -0.5
-        d2q = np.zeros((self.n_features, q, q))
-        rows = 1 + np.arange(n_pairs)
-        d2q[rows, self._I, self._J] -= self._half
-        d2q[rows, self._J, self._I] -= self._half
-        self._d2q = d2q
+        self._free = list(layout.free_idx)
+        q = len(psi_exp)
+        tilde = np.zeros((q + 1, layout.p), dtype=int)   # exponents of psi~
+        tilde[:q, list(layout.x_idx)] = psi_exp
+        tilde[q, layout.y_idx] = 1
+        tilde = tilde[:, self._free]
+        self._I, self._J = np.triu_indices(q + 1)
+        self._E, k = np.unique(
+            np.vstack([np.zeros_like(tilde[:1]), tilde[self._I] + tilde[self._J]]),
+            axis=0, return_inverse=True)
+        k = k.ravel()[1:]                                # monomial of each pair i <= j
+        self.n_features = K = len(self._E)
+        Q = np.zeros((K, q + 1, q + 1))
+        Q[k, self._I, self._J] = Q[k, self._J, self._I] = 1.0
+        # q = (beta~_i beta~_j over pairs i <= j) @ _pair_coef
+        self._pair_coef = (np.where(self._I == self._J, -0.5, -1.0)[:, None]
+                           * Q[:, self._I, self._J].T)
+        # dq (T, q, K) = beta~ @ _dq_coef, reshaped
+        self._dq_coef = -Q[:, :q].transpose(2, 1, 0).reshape(q + 1, q * K)
+        self._d2q = -Q[:, :q, :q]
+        # d phi_k / d z_c = E_kc times monomial k with E_kc lowered by one
+        f = len(self._free)
+        self._jac_E = np.maximum(self._E - np.eye(f, dtype=int)[:, None], 0).reshape(f * K, f)
 
-    def _q(self, beta):                               # (T, K)
-        out = self._q_const[None, :].repeat(len(beta), axis=0)
-        out[:, self._pairs] = -self._half * beta[:, self._I] * beta[:, self._J]
-        out[:, self._lin] = beta
+    @staticmethod
+    def _tilde(beta):
+        out = np.empty((len(beta), beta.shape[1] + 1))
+        out[:, :-1] = beta
+        out[:, -1] = -1.0
         return out
+
+    # the sampler scores up to RWM_BLOCK rows per call: one gather of the pair
+    # products and one small matmul keep this cheap
+    def _q(self, beta):                               # (T, K)
+        bt = self._tilde(beta)
+        return (bt.take(self._I, axis=1) * bt.take(self._J, axis=1)) @ self._pair_coef
 
     def _dq(self, beta):                              # (T, q, K)
-        eye = np.eye(beta.shape[1])
-        out = np.zeros((len(beta), beta.shape[1], self.n_features))
-        out[:, :, self._pairs] = -self._half * (
-            eye[:, self._I] * beta[:, None, self._J]
-            + eye[:, self._J] * beta[:, None, self._I])
-        out[:, :, self._lin] = eye
-        return out
-
-    def _split(self, points):
-        pts = np.asarray(points, dtype=float)
-        x = pts[:, list(self.layout.x_idx)]
-        return x, pts[:, self.layout.y_idx], self.features.value(x)
+        return (self._tilde(beta) @ self._dq_coef).reshape(len(beta), beta.shape[1], -1)
 
     def phi(self, points):
-        _, u, psi = self._split(points)
-        return np.column_stack([np.ones(len(u)), psi[:, self._I] * psi[:, self._J],
-                                u[:, None] * psi, u**2])
+        return _monomials(np.asarray(points)[:, self._free], self._E)
 
     def phi_jac(self, points):
-        x, u, psi = self._split(points)
-        jpsi = self.features.jac(x)                   # (M, q, px)
-        xs, y = list(self.layout.x_idx), self.layout.y_idx
-        out = np.zeros((len(u), self.n_features, self.layout.p))
-        out[:, self._pairs, xs] = (jpsi[:, self._I] * psi[:, self._J, None]
-                                   + psi[:, self._I, None] * jpsi[:, self._J])
-        out[:, self._lin, xs] = u[:, None, None] * jpsi
-        out[:, self._lin, y] = psi
-        out[:, -1, y] = 2.0 * u
-        return out[:, :, list(self.layout.free_idx)]
+        z = np.asarray(points)[:, self._free]
+        lowered = _monomials(z, self._jac_E).reshape(len(z), len(self._free), -1)
+        return (self._E.T * lowered).transpose(0, 2, 1)
 
     def predict_mean(self, theta, x_part):
-        beta = np.asarray(theta, dtype=float).ravel()[: self.features.dim]
-        return self.features.value(np.atleast_2d(x_part)) @ beta
+        exps = self.features.exponents
+        beta = np.asarray(theta, dtype=float).ravel()[: len(exps)]
+        return _monomials(np.atleast_2d(x_part), exps) @ beta
 
 
 class BayesLinReg(_StandardNormalPrior, _GaussianRegression):
@@ -323,7 +320,7 @@ class BayesLinReg(_StandardNormalPrior, _GaussianRegression):
 
     def __init__(self, features, layout: Layout):
         super().__init__(features, layout)
-        self.param_dim = features.dim
+        self.param_dim = len(features.exponents)
 
     @classmethod
     def identity_with_intercept(cls, x_dim: int) -> "BayesLinReg":
@@ -374,12 +371,13 @@ class KidScoreModel(_GaussianRegression):
         thetas = np.asarray(thetas, dtype=float)
         return thetas[:, :2], thetas[:, 2]
 
-    # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2
+    # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2; the constant
+    # monomial also carries q's beta_0^2 term, so c(s) is added to it
     def loglik_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         s2 = thetas[:, 2:] ** 2
         out = self._q(thetas[:, :2]) / s2
-        out[:, :1] = -0.5 * np.log(2.0 * np.pi * s2)
+        out[:, :1] += -0.5 * np.log(2.0 * np.pi * s2)
         return out
 
     def score_coef(self, thetas):
@@ -387,7 +385,7 @@ class KidScoreModel(_GaussianRegression):
         out = np.empty((len(s), 3, self.n_features))
         out[:, :2] = self._dq(beta) / (s**2)[:, None, None]
         out[:, 2] = -2.0 * self._q(beta) / (s**3)[:, None]
-        out[:, 2, 0] = -1.0 / s
+        out[:, 2, 0] -= 1.0 / s
         return out
 
     def hess_coef(self, thetas):
@@ -398,7 +396,7 @@ class KidScoreModel(_GaussianRegression):
         out[:, :, :2, 2] = cross
         out[:, :, 2, :2] = cross
         out[:, :, 2, 2] = 6.0 * self._q(beta) / (s**4)[:, None]
-        out[:, 0, 2, 2] = 1.0 / s**2
+        out[:, 0, 2, 2] += 1.0 / s**2
         return out
 
     def log_prior(self, thetas):
@@ -475,9 +473,8 @@ class SquaredErrorLoss(LossModel):
 
     def __init__(self, features, layout: Layout, ridge: float = 0.0):
         self._lik = BayesLinReg(features, layout)
-        self.features = features
         self.layout = layout
-        self.param_dim = features.dim
+        self.param_dim = self._lik.param_dim
         self.ridge = ridge
 
     @classmethod

@@ -352,3 +352,5 @@ class TestAttackConfigValidation:
             AttackConfig(objective="fd", M=1, iters=1, lr_w=0.0)
         with pytest.raises(ValueError):
             AttackConfig(objective="sfd", M=1, iters=1, L=0)
+        with pytest.raises(ValueError, match="seed"):
+            AttackConfig(objective="fd", M=1, iters=1, seed=-1)

@@ -7,8 +7,16 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from datarecon import cli
 from datarecon.cli import _SECTION_KEYS, main
-from datarecon.measures import Layout, build_measure, load_measure, save_dataset, save_measure
+from datarecon.measures import (
+    Layout,
+    build_measure,
+    load_dataset,
+    load_measure,
+    save_dataset,
+    save_measure,
+)
 from datarecon.samplers import load_draws
 
 
@@ -341,6 +349,60 @@ class TestAttackConfigErrors:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def _kidscore_cfg(tmp_path, intercept=1.0):
+    rng = np.random.default_rng(15)
+    r = rng.standard_normal(12)
+    X = np.column_stack([np.full(12, intercept), r, 0.5 * r + rng.standard_normal(12)])
+    save_dataset(tmp_path / "data.csv", X, ("intercept", "r", "u"))
+    return {
+        "model": {"name": "kidscore"},
+        "data": {"path": str(tmp_path / "data.csv")},
+        "sampler": {"kind": "rwm", "T": 10, "burn_in": 10, "seed": 1, "init": [0.0, 0.0, 1.0]},
+        "attack": {"objective": "fd", "M": 3, "iters": 5, "seed": 2, "trace_target": True},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+
+
+class TestAttackDataHandling:
+    def test_frozen_column_must_match_layout(self, runner, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", _kidscore_cfg(tmp_path, intercept=2.0))
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'intercept'" in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_attack_seed_rejected_before_sampling(self, runner, tmp_path,
+                                                           monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran before the attack seed was checked")
+
+        monkeypatch.setattr(cli, "rwm_draws", no_sampling)
+        cfg_dict = _kidscore_cfg(tmp_path)
+        cfg_dict["attack"]["seed"] = -1
+        result = runner.invoke(main, ["attack", "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+
+    def test_data_file_read_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_dataset(path)
+
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        cfg = _write_config(tmp_path / "cfg.json", _kidscore_cfg(tmp_path))
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["final"]["errors"] is not None
 
 
 # Drawn JSON values. Integers stay small so that a drawn size (M, iters, T,

@@ -207,6 +207,12 @@ def _poly3(s):
     return np.stack([np.ones_like(s), s, s**2, s**3], axis=-1)
 
 
+def _no_intercept_regression():
+    """y on x with no intercept: the constant monomial is not a product of
+    (psi(x), y) = (x, y)."""
+    return BayesLinReg(IdentityFeatures(1), Layout(p=2, x_idx=(0,), y_idx=1))
+
+
 # (model, theta sampler, density written out per point). The unit-noise
 # models drop the constant Gaussian normaliser from their log-likelihood.
 LIKELIHOOD_DENSITIES = [
@@ -220,6 +226,8 @@ LIKELIHOOD_DENSITIES = [
      + 0.5 * np.log(2 * np.pi)),
     ("kidscore", KidScoreModel(), lambda rng: np.array([*rng.standard_normal(2), 0.3 + rng.random()]),
      lambda th, pts: _gauss_logpdf(pts[:, 2], pts[:, :2] @ th[:2], th[2])),
+    ("bayes_linreg_no_intercept", _no_intercept_regression(), lambda rng: rng.standard_normal(1),
+     lambda th, pts: _gauss_logpdf(pts[:, 1], pts[:, 0] * th[0], 1.0) + 0.5 * np.log(2 * np.pi)),
 ]
 
 
@@ -246,6 +254,7 @@ ALL_MODELS = [
     ("bayes_linreg_identity", BayesLinReg.identity_with_intercept(2)),
     ("bayes_linreg_poly", BayesLinReg.polynomial(3)),
     ("kidscore", KidScoreModel()),
+    ("bayes_linreg_no_intercept", _no_intercept_regression()),
     ("squared_error", SquaredErrorLoss.identity_with_intercept(1, ridge=0.3)),
     ("logistic", LogisticLoss(2, ridge=0.1)),
 ]
@@ -302,3 +311,76 @@ class TestFiniteDifferenceAudit:
             model, np.array([0.3, -0.2]), np.array([1.0, 2.0]))
         assert not report.passed
         assert report.per_check[check] == pytest.approx(0.1, rel=0.01)
+
+
+LIKELIHOOD_MODELS = [(n, m) for n, m in ALL_MODELS if hasattr(m, "phi")]
+
+
+def _layout_points(model, n, rng):
+    return np.array([_random_point(model, rng)[1] for _ in range(n)])
+
+
+def _release_gram(model, rng, T=40):
+    """G = mean_t A_t^T A_t over random draws: the directions in feature-sum
+    space that the posterior scores see."""
+    thetas = np.array([_random_point(model, rng)[0] for _ in range(T)])
+    A = PosteriorCoefficients(model, thetas).A
+    return np.einsum("tdk,tdl->kl", A, A) / T
+
+
+class TestMinimalFeatureBasis:
+    """phi holds each distinct monomial once, so its columns are linearly
+    independent and G's null space is exactly what the release hides."""
+
+    @pytest.mark.parametrize("model,K", [
+        (KidScoreModel(), 6),
+        (BayesLinReg.identity_with_intercept(1), 6),
+        (BayesLinReg.identity_with_intercept(2), 10),
+        (BayesLinReg.polynomial(3), 12),
+    ])
+    def test_feature_count(self, model, K):
+        assert model.n_features == K
+        assert model.phi(np.zeros((1, model.layout.p))).shape == (1, K)
+
+    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
+                             ids=[n for n, _ in LIKELIHOOD_MODELS])
+    def test_phi_has_full_column_rank(self, name, model):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        K = model.phi(_layout_points(model, 1, rng)).shape[1]
+        assert np.linalg.matrix_rank(model.phi(_layout_points(model, K + 5, rng))) == K
+
+    def test_kidscore_monomial_order(self):
+        r, u = 0.7, -1.3
+        np.testing.assert_array_equal(KidScoreModel().phi([[1.0, r, u]]),
+                                      [[1.0, u, u * u, r, r * u, r * r]])
+
+    def test_kidscore_release_exposes_every_statistic(self):
+        ev = np.linalg.eigvalsh(_release_gram(KidScoreModel(), np.random.default_rng(3)))
+        assert ev[0] > 1e-3 * ev[-1]
+
+    @pytest.mark.parametrize("model", [
+        BayesLinReg.polynomial(3),
+        BayesLinReg.identity_with_intercept(1),
+        BayesLinReg.identity_with_intercept(2),
+    ], ids=["cubic", "identity_1", "identity_2"])
+    def test_unit_noise_regression_hides_only_sum_of_squared_responses(self, model):
+        # the posterior sees Psi^T Psi and Psi^T y but not y^T y
+        rng = np.random.default_rng(4)
+        ev, vecs = np.linalg.eigh(_release_gram(model, rng))
+        assert np.sum(ev < 1e-10 * ev[-1]) == 1
+        pts = _layout_points(model, 8, rng)
+        u2 = [k for k, col in enumerate(model.phi(pts).T)
+              if np.array_equal(col, pts[:, model.layout.y_idx] ** 2)]
+        assert len(u2) == 1
+        np.testing.assert_allclose(np.abs(vecs[:, 0]), np.eye(len(ev))[u2[0]], atol=1e-10)
+
+    def test_gaussian_mean_hides_only_sum_of_squared_norms(self):
+        model = GaussianMeanLocation(3)
+        ev, vecs = np.linalg.eigh(_release_gram(model, np.random.default_rng(5)))
+        assert np.sum(ev < 1e-10 * ev[-1]) == 1
+        np.testing.assert_allclose(np.abs(vecs[:, 0]), np.eye(len(ev))[-1], atol=1e-10)
+
+    def test_regression_frozen_values_must_be_one(self):
+        layout = Layout(p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,), frozen_values=(2.0,))
+        with pytest.raises(ValueError, match="frozen"):
+            BayesLinReg(IdentityFeatures(2), layout)
