@@ -14,11 +14,11 @@ Coordinates marked frozen in the layout receive no gradient and never move.
 from __future__ import annotations
 
 import itertools
-import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .checks import integer, number
 from .divergence import PosteriorCoefficients, PosteriorDraws
 from .measures import (
     ReconStats,
@@ -61,21 +61,11 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.objective not in ("fd", "sfd", "nonbayes"):
-            raise ValueError(f"unknown objective: {self.objective!r}")
-        for name in ("M", "iters", "L", "seed", "trace_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr_w", "lr_z"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value <= sys.float_info.max):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name, low in (("M", 1), ("iters", 1), ("seed", 0), ("trace_every", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.objective == "sfd" and self.L < 1:
-            raise ValueError("L must be >= 1 for the sliced objective")
+            raise ValueError(f"objective must be fd, sfd or nonbayes, got {self.objective!r}")
+        for name, low in (("M", 1), ("iters", 1), ("L", 1), ("seed", 0), ("trace_every", 1)):
+            integer(name, getattr(self, name), low)
+        number("lr_w", self.lr_w)
+        number("lr_z", self.lr_z)
 
 
 @dataclass
@@ -269,19 +259,8 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
     if target_points is not None:
         target_stats = recon_statistics(build_measure(target_points), layout)
 
-    header = {
-        "objective": config.objective,
-        "M": config.M,
-        "iters": config.iters,
-        "lr_w": config.lr_w,
-        "lr_z": config.lr_z,
-        "L": config.L if config.objective == "sfd" else None,
-        "seed": config.seed,
-        "trace_every": config.trace_every,
-        "adam_beta1": ADAM_BETA1,
-        "adam_beta2": ADAM_BETA2,
-        "adam_eps": ADAM_EPS,
-    }
+    header = {**asdict(config), "L": config.L if config.objective == "sfd" else None,
+              "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
     trace = AttackTrace(header)
 
     def current_measure():

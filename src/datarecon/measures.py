@@ -10,9 +10,13 @@ weighted cross-moments) which is what the convergence traces track.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
+
+from .checks import integer
 
 # Guards division in relative errors; targets in practice are O(1)-O(1e4)
 # so this only activates on exact-zero targets.
@@ -37,6 +41,21 @@ class Layout:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        integer("p", self.p, 1)
+        if self.y_idx is not None:
+            integer("y_idx", self.y_idx, 0)
+        for name, entry, kind in (("x_idx", Integral, "integers"),
+                                  ("frozen_idx", Integral, "integers"),
+                                  ("frozen_values", Real, "finite numbers"),
+                                  ("names", str, "strings")):
+            value = getattr(self, name)
+            if value is None and name == "names":
+                continue
+            if not isinstance(value, (list, tuple)) or not all(
+                    isinstance(v, entry) and not isinstance(v, bool)
+                    and (entry is not Real or math.isfinite(v)) for v in value):
+                raise ValueError(f"{name} must be a list of {kind}, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         covered = set(self.x_idx) | ({self.y_idx} if self.y_idx is not None else set())
         if covered != set(range(self.p)):
             raise ValueError(f"x_idx/y_idx must cover exactly 0..{self.p - 1}")
@@ -224,9 +243,12 @@ def load_dataset(path) -> tuple[np.ndarray, tuple[str, ...]]:
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {lineno} has {len(row)} columns, expected {len(header)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: row {lineno} contains a non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {lineno} contains a non-finite value")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows), tuple(header)

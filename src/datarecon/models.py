@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, number
 from .measures import Layout
 
 
@@ -49,9 +50,7 @@ class PolynomialFeatures:
     """psi(s) = (1, s, s^2, ..., s^degree) for a scalar covariate."""
 
     def __init__(self, degree: int):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.exponents = np.arange(degree + 1)[:, None]
+        self.exponents = np.arange(integer("degree", degree, 1) + 1)[:, None]
 
 
 def _monomials(z, E):
@@ -68,16 +67,30 @@ def _monomials(z, E):
     return out
 
 
-def _intercept_regression(x_dim: int):
-    """psi and layout for data points (1, x_1..x_dim, y), psi the raw x-part."""
-    layout = Layout(p=x_dim + 2, x_idx=tuple(range(x_dim + 1)), y_idx=x_dim + 1,
-                    frozen_idx=(0,))
-    return IdentityFeatures(x_dim + 1), layout
+class _RegressionLayouts:
+    """The two data layouts of a regression class built from (features, layout, **kw)."""
 
+    @classmethod
+    def from_keys(cls, **kw):
+        """``polynomial(**kw)`` given a degree, else ``identity_with_intercept(**kw)``."""
+        if "degree" not in kw:
+            return cls.identity_with_intercept(**kw)
+        if "x_dim" in kw:
+            raise ValueError("x_dim and degree are exclusive: give one")
+        return cls.polynomial(**kw)
 
-def _polynomial_regression(degree: int):
-    """psi and layout for data points (s, y), psi(s) = (1, s, ..., s^degree)."""
-    return PolynomialFeatures(degree), Layout(p=2, x_idx=(0,), y_idx=1)
+    @classmethod
+    def identity_with_intercept(cls, x_dim: int = 1, **kw):
+        """Data points (1, x_1..x_dim, y) with psi(x) the raw x-part."""
+        x_dim = integer("x_dim", x_dim, 1)
+        return cls(IdentityFeatures(x_dim + 1), Layout(
+            p=x_dim + 2, x_idx=tuple(range(x_dim + 1)), y_idx=x_dim + 1, frozen_idx=(0,)),
+            **kw)
+
+    @classmethod
+    def polynomial(cls, degree: int, **kw):
+        """Data points (s, y) with psi(s) = (1, s, ..., s^degree)."""
+        return cls(PolynomialFeatures(degree), Layout(p=2, x_idx=(0,), y_idx=1), **kw)
 
 
 # --- likelihood model contract ----------------------------------------------
@@ -105,25 +118,19 @@ class LikelihoodModel:
     def in_domain(self, thetas: np.ndarray) -> np.ndarray:
         return np.ones(len(thetas), dtype=bool)
 
-    def check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).ravel()
-        if theta.shape != (self.param_dim,):
-            raise ValueError(f"theta must have length {self.param_dim}")
-        if not np.isfinite(theta).all():
-            raise DomainError("theta contains non-finite entries")
-        if not self.in_domain(theta[None, :]).all():
-            raise DomainError("theta outside model domain")
-        return theta
-
     def check_draws(self, thetas) -> np.ndarray:
+        """Parameter vectors as rows (T, d), if finite and in the domain."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self.param_dim:
-            raise ValueError(f"draws must have {self.param_dim} columns")
+            raise ValueError(f"parameter vectors must have {self.param_dim} entries")
         if not np.all(np.isfinite(thetas)):
-            raise DomainError("draws contain non-finite entries")
+            raise DomainError("parameter vectors contain non-finite entries")
         if not self.in_domain(thetas).all():
-            raise DomainError("a draw lies outside the model domain")
+            raise DomainError("a parameter vector lies outside the model domain")
         return thetas
+
+    def check_theta(self, theta) -> np.ndarray:
+        return self.check_draws(np.ravel(theta))[0]
 
     # primitives, implemented per model ---------------------------------------
     def phi(self, points):                            # (M, K)
@@ -198,8 +205,8 @@ class GaussianMeanLocation(_StandardNormalPrior, LikelihoodModel):
     Features phi(x) = (1, x, ||x||^2) with a(theta) = (-||theta||^2 / 2, theta, -1/2).
     """
 
-    def __init__(self, dim: int):
-        self.param_dim = dim
+    def __init__(self, dim: int = 1):
+        self.param_dim = integer("dim", dim, 1)
         self.layout = Layout(p=dim, x_idx=tuple(range(dim)))
 
     def phi(self, points):
@@ -313,7 +320,7 @@ class _GaussianRegression(LikelihoodModel):
         return _monomials(np.atleast_2d(x_part), exps) @ beta
 
 
-class BayesLinReg(_StandardNormalPrior, _GaussianRegression):
+class BayesLinReg(_StandardNormalPrior, _RegressionLayouts, _GaussianRegression):
     """Bayesian linear regression on a feature vector psi(x) with unit noise:
     l(theta, x) proportional to exp(-(  <theta, psi(x)> - y )^2 / 2) and a
     standard Gaussian prior on the coefficients."""
@@ -321,16 +328,6 @@ class BayesLinReg(_StandardNormalPrior, _GaussianRegression):
     def __init__(self, features, layout: Layout):
         super().__init__(features, layout)
         self.param_dim = len(features.exponents)
-
-    @classmethod
-    def identity_with_intercept(cls, x_dim: int) -> "BayesLinReg":
-        """Data points (1, x_1..x_dim, y) with psi(x) the raw x-part."""
-        return cls(*_intercept_regression(x_dim))
-
-    @classmethod
-    def polynomial(cls, degree: int) -> "BayesLinReg":
-        """Data points (s, y) with psi(s) = (1, s, ..., s^degree)."""
-        return cls(*_polynomial_regression(degree))
 
     def loglik_coef(self, thetas):
         return self._q(np.asarray(thetas, dtype=float))
@@ -354,9 +351,7 @@ class KidScoreModel(_GaussianRegression):
     """
 
     def __init__(self, prior_scale: float = 2.5):
-        if prior_scale <= 0:
-            raise ValueError("prior_scale must be positive")
-        self.prior_scale = prior_scale
+        self.prior_scale = number("prior_scale", prior_scale)
         self.param_dim = 3
         super().__init__(IdentityFeatures(2), Layout(
             p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,),
@@ -431,7 +426,7 @@ class LossModel:
 
     param_dim: int
     layout: Layout
-    ridge: float = 0.0
+    ridge: float
 
     def loss_batch(self, theta, points):            # (M,)
         raise NotImplementedError
@@ -464,7 +459,7 @@ class LossModel:
         return 1.0
 
 
-class SquaredErrorLoss(LossModel):
+class SquaredErrorLoss(_RegressionLayouts, LossModel):
     """l(theta, x) = (<theta, psi(x)> - y)^2, optional ridge regularizer.
 
     This is -2 times the unit-noise regression log-likelihood of
@@ -475,15 +470,7 @@ class SquaredErrorLoss(LossModel):
         self._lik = BayesLinReg(features, layout)
         self.layout = layout
         self.param_dim = self._lik.param_dim
-        self.ridge = ridge
-
-    @classmethod
-    def identity_with_intercept(cls, x_dim: int, ridge: float = 0.0):
-        return cls(*_intercept_regression(x_dim), ridge)
-
-    @classmethod
-    def polynomial(cls, degree: int, ridge: float = 0.0):
-        return cls(*_polynomial_regression(degree), ridge)
+        self.ridge = number("ridge", ridge, positive=False)
 
     def loss_batch(self, theta, points):
         return -2.0 * self._lik.log_lik_batch(theta, points)
@@ -504,10 +491,10 @@ class LogisticLoss(LossModel):
     derivatives stay well defined during optimisation.
     """
 
-    def __init__(self, dim: int, ridge: float = 0.0):
-        self.param_dim = dim
+    def __init__(self, dim: int = 1, ridge: float = 0.0):
+        self.param_dim = integer("dim", dim, 1)
         self.layout = Layout(p=dim + 1, x_idx=tuple(range(dim)), y_idx=dim)
-        self.ridge = ridge
+        self.ridge = number("ridge", ridge, positive=False)
 
     def _parts(self, theta, points):
         pts = np.asarray(points, dtype=float)

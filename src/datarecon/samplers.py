@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, number
 from .divergence import PosteriorDraws
 from .measures import load_dataset, write_rows
 
@@ -23,7 +24,7 @@ RWM_BLOCK = 16
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    T: int
+    T: int = 1000                # draws kept
     burn_in: int | None = None   # defaults to 10 * T
     thinning: int = 10
     step_scale: float = 0.1
@@ -31,14 +32,12 @@ class SamplerConfig:
     init: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.thinning < 0:
-            raise ValueError("thinning must be >= 0")
-        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
-            raise ValueError("step_scale must be finite and positive")
+        integer("T", self.T, 1)
+        if self.burn_in is not None:
+            integer("burn_in", self.burn_in, 0)
+        integer("thinning", self.thinning, 0)
+        number("step_scale", self.step_scale)
+        integer("seed", self.seed, 0)
 
 
 def exact_gaussian_mean_draws(X, T: int, seed: int = 0) -> PosteriorDraws:

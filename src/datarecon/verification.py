@@ -145,6 +145,26 @@ def check_sfd_fd_agreement(T: int = 100, L: int = 10_000,
                        f"gap {gap:.3e} vs 3*se {3 * se:.3e}")
 
 
+def check_sfd_axis_slices(n_draws: int = 100, tol: float = 1e-12,
+                          seed: int = 20240824) -> CheckResult:
+    """Exact identity: the L = d slices sqrt(d) e_i average v v^T to I, so the
+    sliced objective equals the trace form (Gaussian mean, regression, kid score)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for model in (GaussianMeanLocation(2), BayesLinReg.identity_with_intercept(1),
+                  KidScoreModel()):
+        d = model.param_dim
+        thetas = rng.standard_normal((n_draws, d))
+        draws = PosteriorDraws(thetas[model.in_domain(thetas)])
+        recon = build_measure(rng.standard_normal((5, model.layout.p)), rng.standard_normal(5))
+        slices = np.broadcast_to(np.sqrt(d) * np.eye(d), (draws.T, d, d))
+        sfd = sfd_objective(model, draws, slices, recon).value
+        fd = fd_ibp_objective(model, draws, recon).value
+        worst = max(worst, abs(sfd - fd) / max(abs(fd), 1e-300))
+    return CheckResult("sfd_equals_fd_at_axis_slices", worst < tol,
+                       f"max rel err {worst:.3e} (tol {tol:g})")
+
+
 def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
     """The target-free objective plus the oracle constant (half the mean
     squared target score over the same draws) matches the direct divergence,
@@ -285,6 +305,7 @@ ALL_CHECKS = (
     check_fd_mmd_identity,
     check_nonbayes_identity,
     check_sfd_fd_agreement,
+    check_sfd_axis_slices,
     check_ibp_constant,
     check_fd_audits,
     check_objective_gradients,

@@ -49,6 +49,7 @@ class TestAcceptance:
         _report("criterion 4 (ibp + oracle constant vs direct & closed form, 3 SE)",
                 res.passed, res.detail)
 
+    @pytest.mark.slow
     def test_05_gaussian_mean_recovery(self):
         rng = np.random.default_rng(42)
         X = rng.standard_normal((20, 2)) + np.array([0.5, -0.3])
@@ -65,6 +66,7 @@ class TestAcceptance:
                 passed,
                 f"mass rel err {mass_err:.4f}, weighted-sum rel err {sum_err:.4f}")
 
+    @pytest.mark.slow
     def test_06_kidscore_reproduction(self):
         rng = np.random.default_rng(11)
         N = 100

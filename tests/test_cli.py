@@ -216,6 +216,13 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
 
+    def test_full_suite_lists_8_passing_checks(self, runner):
+        result = runner.invoke(main, ["verify"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
+        assert any("sfd_equals_fd_at_axis_slices" in line for line in lines)
+
     def test_no_match_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--filter", "zzz_no_such"])
         assert result.exit_code == 2
@@ -254,7 +261,8 @@ class TestReportCommand:
         measure_path = tmp_path / "measure.csv"
         save_measure(measure_path, build_measure(X), Layout(p=1, x_idx=(0,)))
         layout_path = tmp_path / "layout.json"
-        for layout in ({"p": 1, "x_idx": [0], "oops": 1}, {"p": 1, "x_idx": 0}):
+        for layout in ({"p": 1, "x_idx": [0], "oops": 1}, {"p": 1, "x_idx": 0},
+                       {"p": 2.7, "x_idx": [0, 1]}, {"x_idx": [0]}, [1]):
             layout_path.write_text(json.dumps(layout))
             result = runner.invoke(main, [
                 "report", "--measure", str(measure_path),
@@ -292,6 +300,13 @@ def _file_draws_cfg(tmp_path, data_path):
     return cfg
 
 
+def _with(cfg, section, settings):
+    """A base config: ``cfg`` with one section replaced."""
+    def base(tmp_path, data_path):
+        return {**cfg(tmp_path, data_path), section: dict(settings)}
+    return base
+
+
 # (case id, base config, section, key, bad value); section None replaces the
 # whole config
 BAD_ATTACK_INPUTS = [
@@ -318,12 +333,21 @@ BAD_ATTACK_INPUTS = [
     ("lr_w_negative", _bayes_cfg, "attack", "lr_w", -1e-3),
     ("step_scale_nan", _bayes_cfg, "sampler", "step_scale", float("nan")),
     ("loss_model_with_fd", _nonbayes_cfg, "attack", "objective", "fd"),
-    ("loss_model_with_sfd", _nonbayes_cfg, "model", "name", "squared_error"),
+    # the logistic model's dim is no key of squared_error, so it is left out
+    ("loss_model_with_sfd", _with(_nonbayes_cfg, "model", {"name": "logistic", "ridge": 0.1}),
+     "model", "name", "squared_error"),
     ("likelihood_model_with_nonbayes", _bayes_cfg, "attack", "objective", "nonbayes"),
     ("theta_star_too_short", _nonbayes_cfg, "attack", "theta_star", []),
     ("theta_star_too_long", _nonbayes_cfg, "attack", "theta_star", [0.5, 1.0]),
     ("theta_star_not_numbers", _nonbayes_cfg, "attack", "theta_star", ["a"]),
     ("sampler_init_wrong_length", _bayes_cfg, "sampler", "init", [0.0]),
+    ("kidscore_with_dim", _with(_bayes_cfg, "model", {"name": "kidscore"}), "model", "dim", 7),
+    ("gaussian_mean_with_ridge", _bayes_cfg, "model", "ridge", 3),
+    ("bayes_linreg_x_dim_and_degree",
+     _with(_bayes_cfg, "model", {"name": "bayes_linreg", "degree": 3}), "model", "x_dim", 1),
+    ("exact_step_scale_negative", _with(_bayes_cfg, "sampler", {"kind": "exact", "T": 10}),
+     "sampler", "step_scale", -1),
+    ("file_sampler_T_negative", _file_draws_cfg, "sampler", "T", -5),
 ]
 
 
@@ -348,6 +372,8 @@ class TestAttackConfigErrors:
         assert "Traceback" not in result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if section is not None:
+            assert f"{section}.{key}" in lines[0]
         assert not (tmp_path / "out" / "trace.csv").exists()
 
 
@@ -366,6 +392,22 @@ def _kidscore_cfg(tmp_path, intercept=1.0):
 
 
 class TestAttackDataHandling:
+    @pytest.mark.parametrize("command", ["sample", "attack"])
+    @pytest.mark.parametrize("sampler", [{"kind": "exact", "T": 10, "seed": 1},
+                                         {"kind": "rwm", "T": 10, "burn_in": 10, "seed": 1,
+                                          "init": [0.0, 0.0]}], ids=["exact", "rwm"])
+    def test_non_finite_data_cell_exits_2_naming_row(self, runner, tmp_path, command,
+                                                      sampler):
+        (tmp_path / "data.csv").write_text("c0,c1\n0.5,1.0\n0.25,nan\n1.0,2.0\n")
+        cfg_dict = _with(_bayes_cfg, "sampler", sampler)(tmp_path, str(tmp_path / "data.csv"))
+        result = runner.invoke(main, [command, "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "row 3" in lines[0] and "non-finite" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_frozen_column_must_match_layout(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", _kidscore_cfg(tmp_path, intercept=2.0))
         result = runner.invoke(main, ["attack", "--config", cfg])

@@ -156,6 +156,13 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="row 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ValueError, match="row 3 contains a non-finite value"):
+            load_dataset(path)
+
 
 class TestLayout:
     def test_free_idx_excludes_frozen(self):
@@ -172,3 +179,21 @@ class TestLayout:
     def test_frozen_outside_x_rejected(self):
         with pytest.raises(ValueError):
             Layout(p=2, x_idx=(0,), y_idx=1, frozen_idx=(1,))
+
+    @pytest.mark.parametrize("fields,key", [
+        ({"p": 2.7, "x_idx": (0, 1)}, "p"),
+        ({"p": 2, "x_idx": (0.0, 1.0)}, "x_idx"),
+        ({"p": 2, "x_idx": 0}, "x_idx"),
+        ({"p": 2, "x_idx": (0,), "y_idx": True}, "y_idx"),
+        ({"p": 2, "x_idx": (0, 1), "frozen_idx": (0,), "frozen_values": (float("nan"),)},
+         "frozen_values"),
+        ({"p": 1, "x_idx": (0,), "names": ("a", 1)}, "names"),
+    ])
+    def test_field_types_checked(self, fields, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            Layout(**fields)
+
+    def test_lists_become_tuples(self):
+        layout = Layout(p=2, x_idx=[0], y_idx=1, frozen_idx=[0], frozen_values=[1])
+        assert layout.x_idx == (0,) and layout.frozen_idx == (0,)
+        assert layout.frozen_values == (1,)

@@ -384,3 +384,26 @@ class TestMinimalFeatureBasis:
         layout = Layout(p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,), frozen_values=(2.0,))
         with pytest.raises(ValueError, match="frozen"):
             BayesLinReg(IdentityFeatures(2), layout)
+
+
+class TestConstructorSettings:
+    @pytest.mark.parametrize("build,key", [
+        (lambda: KidScoreModel(prior_scale=float("nan")), "prior_scale"),
+        (lambda: KidScoreModel(prior_scale=0), "prior_scale"),
+        (lambda: GaussianMeanLocation(0), "dim"),
+        (lambda: GaussianMeanLocation(2.0), "dim"),
+        (lambda: BayesLinReg.identity_with_intercept(0), "x_dim"),
+        (lambda: BayesLinReg.polynomial(True), "degree"),
+        (lambda: LogisticLoss(2, ridge=-1), "ridge"),
+        (lambda: SquaredErrorLoss.identity_with_intercept(1, ridge=float("inf")), "ridge"),
+    ], ids=["prior_scale_nan", "prior_scale_zero", "dim_zero", "dim_float", "x_dim_zero",
+            "degree_bool", "logistic_ridge_negative", "squared_error_ridge_infinite"])
+    def test_bad_setting_rejected_naming_it(self, build, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            build()
+
+    def test_defaults(self):
+        assert GaussianMeanLocation().param_dim == 1
+        assert LogisticLoss().param_dim == 1 and LogisticLoss().ridge == 0.0
+        assert BayesLinReg.identity_with_intercept().param_dim == 2
+        assert KidScoreModel().prior_scale == 2.5

@@ -194,6 +194,10 @@ class TestSamplerConfig:
             SamplerConfig(T=5, step_scale=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(T=5, step_scale=float("nan"))
+        with pytest.raises(ValueError, match="T must be an integer"):
+            SamplerConfig(T=2.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SamplerConfig(T=5, seed=-1)
 
 
 class TestDrawsIo:
