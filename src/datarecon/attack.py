@@ -6,8 +6,8 @@ Three objective modes: 'fd' (integration-by-parts trace form), 'sfd'
 'nonbayes' (squared norm of the weighted loss-gradient sum at the released
 parameters). All three are assembled in statistic space by one evaluator:
 the pseudo-measure enters only through a feature sum, which a per-mode head
-(per-draw coefficients computed once per run for fd/sfd, the regularizer
-gradient for nonbayes) maps to the value and its gradient.
+(for fd/sfd a quadratic in the feature sums, averaged over the draws once per
+run; the regularizer gradient for nonbayes) maps to the value and its gradient.
 Coordinates marked frozen in the layout receive no gradient and never move.
 """
 

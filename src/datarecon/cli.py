@@ -168,8 +168,14 @@ def _get_draws(cfg: dict, model) -> tuple[PosteriorDraws, np.ndarray | None]:
     if kind not in ("file", "exact", "rwm"):
         raise ValueError(f"unknown sampler.kind: {kind!r}")
     settings = {k: v for k, v in sampler.items() if k not in ("kind", "path")}
+    if isinstance(model, LossModel):
+        raise ValueError(f"model.name {cfg['model']['name']!r} is a loss model: "
+                         f"it has no posterior to sample")
     if settings.get("init") is not None:
         settings["init"] = _vector("sampler", sampler, "init", model.param_dim)
+        if not model.in_domain(np.array([settings["init"]])).all():
+            raise ValueError(f"sampler.init {list(settings['init'])} lies outside the "
+                             f"model domain")
     config = _owned("sampler", SamplerConfig, settings)
     if kind == "file":
         path = _path("sampler", sampler, "path")
@@ -195,14 +201,17 @@ def _outdir(cfg: dict) -> Path:
 
 
 class _Main(click.Group):
-    """Every command reports a bad input or an unreadable file as one
-    ``error:`` line and exits 2."""
+    """Every command reports a bad input, an unreadable file or a size too
+    large to allocate as one ``error:`` line and exits 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(2)
 
 

@@ -69,9 +69,12 @@ class PosteriorCoefficients:
     """Per-draw coefficients of the weighted pseudo-posterior in feature space.
 
     For a measure with feature sums Phi = sum_m w_m phi(z_m), the weighted
-    pseudo-posterior at draw t has score S_t = prior_score[t] + A[t] @ Phi
-    and Hessian prior_hess[t] + sum_k Phi_k B[t, k]. Built once per draw
-    set; the trace (fd) curvature coefficients are fixed with it.
+    pseudo-posterior at draw t has score S_t = p_t + A_t Phi (p_t the prior
+    score) and Hessian P_t + sum_k Phi_k B_tk (P_t the prior Hessian). The
+    draw average of |S_t|^2 / 2 is therefore the quadratic
+    Phi^T G Phi / 2 + h . Phi + mean_t |p_t|^2 / 2 with G = mean_t A_t^T A_t
+    and h = mean_t A_t^T p_t, computed once per draw set together with the
+    trace (fd) curvature, so an fd evaluation costs O(K^2) whatever T is.
     """
 
     def __init__(self, model, thetas):
@@ -82,10 +85,25 @@ class PosteriorCoefficients:
         self.prior_hess = model.prior_hess_batch(thetas)         # (T, d, d)
         self.trace_c = np.einsum("tkii->tk", self.B)
         self.trace_prior = np.einsum("tii->t", self.prior_hess)
+        T, d, K = self.A.shape
+        A = self.A.reshape(T * d, K)
+        self.G = A.T @ A / T
+        self.h = self.prior_score.ravel() @ A / T
+        self.half_prior_sq = 0.5 * float(np.sum(self.prior_score**2)) / T
+        self.c_bar = self.trace_c.mean(axis=0)
+        self.c_prior_bar = float(self.trace_prior.mean())
+        self._slice_table = None
 
     @property
     def T(self) -> int:
         return len(self.A)
+
+    def _check_slices(self, slices) -> np.ndarray:
+        slices = np.asarray(slices, dtype=float)
+        T, d = self.prior_score.shape
+        if slices.ndim != 3 or slices.shape[0] != T or slices.shape[1] < 1 or slices.shape[2] != d:
+            raise ValueError(f"slices must have shape (T={T}, L>=1, d={d}), got {slices.shape}")
+        return slices
 
     def curvature(self, slices=None):
         """Curvature coefficients c (T, K) and the prior's curvature (T,):
@@ -94,13 +112,34 @@ class PosteriorCoefficients:
         of any other shape raise ``ValueError``."""
         if slices is None:
             return self.trace_c, self.trace_prior
-        slices = np.asarray(slices, dtype=float)
-        T, d = self.prior_score.shape
-        if slices.ndim != 3 or slices.shape[0] != T or slices.shape[1] < 1 or slices.shape[2] != d:
-            raise ValueError(f"slices must have shape (T={T}, L>=1, d={d}), got {slices.shape}")
+        slices = self._check_slices(slices)
         V = slices.transpose(0, 2, 1) @ slices / slices.shape[1]
         return (np.einsum("tkij,tij->tk", self.B, V),
                 np.einsum("tij,tij->t", self.prior_hess, V))
+
+    def mean_curvature(self, slices=None):
+        """The draw averages of ``curvature(slices)``: c-bar (K,) and the
+        prior's (scalar).
+
+        For slices, each V_t is reduced to its d(d+1)/2 distinct entries and
+        contracted in one matrix-vector product with a table of the matching
+        entries of B and P, off-diagonal ones doubled. The table is built at
+        the first sliced call only, so the trace form never holds it."""
+        if slices is None:
+            return self.c_bar, self.c_prior_bar
+        slices = self._check_slices(slices)
+        if self._slice_table is None:
+            I, J = np.triu_indices(slices.shape[2])
+            table = np.concatenate([self.B[:, :, I, J], self.prior_hess[:, None, I, J]],
+                                   axis=1)                       # (T, K + 1, pairs)
+            table = table.transpose(2, 0, 1) * np.where(I == J, 1.0, 2.0)[:, None, None]
+            self._slice_table = table.reshape(-1, table.shape[2])
+        # (pairs, T): the sums over l of v_i v_j for each pair i <= j
+        by_coord = np.ascontiguousarray(np.moveaxis(slices, 2, 0))
+        sums = np.concatenate([np.einsum("tl,ptl->pt", by_coord[i], by_coord[i:])
+                               for i in range(len(by_coord))])
+        c = sums.ravel() @ self._slice_table / (self.T * slices.shape[1])
+        return c[:-1], float(c[-1])
 
     def per_draw(self, Phi, slices=None):
         """Per-draw objective <P_t, V_t> + c_t . Phi + |S_t|^2 / 2, with the
@@ -111,10 +150,14 @@ class PosteriorCoefficients:
 
     def value_and_grad(self, Phi, slices=None):
         """The draw-averaged objective at feature sums Phi and its gradient
-        in Phi: the mean of c_t + A_t^T S_t."""
-        per_draw, c, S = self.per_draw(Phi, slices)
-        g = c.mean(axis=0) + np.einsum("tdk,td->k", self.A, S) / self.T
-        return float(np.mean(per_draw)), g
+        in Phi, from the precomputed quadratic: the value
+        c_prior + |p|^2 / 2 + (c + h) . Phi + Phi^T G Phi / 2 and the
+        gradient c + h + G Phi, with c and c_prior the mean curvature."""
+        c, c_prior = self.mean_curvature(slices)
+        lin = c + self.h
+        G_Phi = self.G @ Phi
+        value = c_prior + self.half_prior_sq + lin @ Phi + 0.5 * (Phi @ G_Phi)
+        return float(value), lin + G_Phi
 
 
 def fd_ibp_objective(model, draws: PosteriorDraws, recon_measure) -> DivergenceEstimate:

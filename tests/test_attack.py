@@ -11,6 +11,7 @@ from datarecon.attack import (
     objective_value,
     run_attack,
 )
+from datarecon.divergence import PosteriorCoefficients
 from datarecon.measures import build_measure
 from datarecon.models import (
     BayesLinReg,
@@ -159,6 +160,22 @@ STATISTIC_SPACE_MODELS = [
 ]
 
 
+def _statistic_space_instance(model, rng, T=60, M=7):
+    """Draws inside the model's domain and a weighted measure respecting
+    its frozen coordinates."""
+    thetas = 0.7 * rng.standard_normal((T, model.param_dim))
+    if isinstance(model, KidScoreModel):
+        thetas[:, 2] = 0.4 + rng.random(T)
+    pts = rng.standard_normal((M, model.layout.p))
+    for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
+        pts[:, idx] = val
+    return thetas, build_measure(pts, rng.standard_normal(M))
+
+
+def _max_rel(x, ref):
+    return np.max(np.abs(np.asarray(x) - ref)) / np.max(np.abs(ref))
+
+
 class TestStatisticSpaceObjective:
     @pytest.mark.parametrize("objective", ["fd", "sfd"])
     @pytest.mark.parametrize("name,model", STATISTIC_SPACE_MODELS,
@@ -167,14 +184,8 @@ class TestStatisticSpaceObjective:
         from datarecon.divergence import PosteriorDraws
         rng = np.random.default_rng(list((name + objective).encode()))
         for _ in range(5):
-            T, M, L, d = 60, 7, 4, model.param_dim
-            thetas = 0.7 * rng.standard_normal((T, d))
-            if isinstance(model, KidScoreModel):
-                thetas[:, 2] = 0.4 + rng.random(T)
-            pts = rng.standard_normal((M, model.layout.p))
-            for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
-                pts[:, idx] = val
-            meas = build_measure(pts, rng.standard_normal(M))
+            T, L, d = 60, 4, model.param_dim
+            thetas, meas = _statistic_space_instance(model, rng, T)
             slices = rng.standard_normal((T, L, d)) if objective == "sfd" else None
             kw = {"draws": PosteriorDraws(thetas), "slices": slices}
             value = objective_value(objective, model, meas, **kw)
@@ -183,6 +194,45 @@ class TestStatisticSpaceObjective:
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
             assert np.max(np.abs(gw - ref_gw)) <= 1e-12 * np.max(np.abs(ref_gw))
             assert np.max(np.abs(gz - ref_gz)) <= 1e-12 * np.max(np.abs(ref_gz))
+
+
+class TestPrecomputedQuadratic:
+    @pytest.mark.parametrize("name,model", STATISTIC_SPACE_MODELS,
+                             ids=[n for n, _ in STATISTIC_SPACE_MODELS])
+    def test_coefficients_match_per_draw_definitions(self, name, model):
+        rng = np.random.default_rng(list((name + "quadratic").encode()))
+        thetas, _ = _statistic_space_instance(model, rng)
+        coef = PosteriorCoefficients(model, thetas)
+        T, K = len(thetas), coef.A.shape[2]
+        A, p = model.score_coef(thetas), model.prior_score_batch(thetas)
+        B, P = model.hess_coef(thetas), model.prior_hess_batch(thetas)
+        G = sum(A[t].T @ A[t] for t in range(T)) / T
+        h = sum(A[t].T @ p[t] for t in range(T)) / T
+        half_prior_sq = sum(p[t] @ p[t] for t in range(T)) / (2 * T)
+        c_bar = np.array([sum(np.trace(B[t, k]) for t in range(T)) for k in range(K)]) / T
+        c_prior_bar = sum(np.trace(P[t]) for t in range(T)) / T
+        assert _max_rel(coef.G, G) <= 1e-12
+        assert _max_rel(coef.h, h) <= 1e-12
+        assert _max_rel(coef.half_prior_sq, half_prior_sq) <= 1e-12
+        assert _max_rel(coef.c_bar, c_bar) <= 1e-12
+        assert _max_rel(coef.c_prior_bar, c_prior_bar) <= 1e-12
+
+    @pytest.mark.parametrize("L", [None, 4, 1], ids=["fd", "sfd", "sfd_L1"])
+    @pytest.mark.parametrize("name,model", STATISTIC_SPACE_MODELS,
+                             ids=[n for n, _ in STATISTIC_SPACE_MODELS])
+    def test_value_and_grad_match_per_draw_mean(self, name, model, L):
+        rng = np.random.default_rng(list((name + str(L)).encode()))
+        for _ in range(3):
+            thetas, meas = _statistic_space_instance(model, rng)
+            coef = PosteriorCoefficients(model, thetas)
+            Phi = meas.weights @ model.phi(meas.points)
+            slices = None if L is None else rng.standard_normal((len(thetas), L,
+                                                                 model.param_dim))
+            value, g = coef.value_and_grad(Phi, slices)
+            per_draw, c, S = coef.per_draw(Phi, slices)
+            ref_g = np.mean(c + np.einsum("tdk,td->tk", coef.A, S), axis=0)
+            assert abs(value - per_draw.mean()) <= 1e-12 * abs(per_draw.mean())
+            assert _max_rel(g, ref_g) <= 1e-12
 
 
 class TestObjectiveGradients:

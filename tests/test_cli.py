@@ -216,12 +216,14 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
 
-    def test_full_suite_lists_8_passing_checks(self, runner):
+    def test_full_suite_lists_10_passing_checks(self, runner):
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 0, result.output
         lines = result.output.strip().splitlines()
-        assert len(lines) == 8 and all(line.startswith("PASS  ") for line in lines)
+        assert len(lines) == 10 and all(line.startswith("PASS  ") for line in lines)
         assert any("sfd_equals_fd_at_axis_slices" in line for line in lines)
+        assert any("sfd_matches_fd_ibp_paired" in line for line in lines)
+        assert any("ibp_constant_consistency_paired" in line for line in lines)
 
     def test_no_match_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--filter", "zzz_no_such"])
@@ -348,6 +350,9 @@ BAD_ATTACK_INPUTS = [
     ("exact_step_scale_negative", _with(_bayes_cfg, "sampler", {"kind": "exact", "T": 10}),
      "sampler", "step_scale", -1),
     ("file_sampler_T_negative", _file_draws_cfg, "sampler", "T", -5),
+    # the dataset has 2 columns, kidscore expects 3: the init is checked first
+    ("sampler_init_outside_domain", _with(_bayes_cfg, "model", {"name": "kidscore"}),
+     "sampler", "init", [0.0, 0.0, -1.0]),
 ]
 
 
@@ -389,6 +394,34 @@ def _kidscore_cfg(tmp_path, intercept=1.0):
         "attack": {"objective": "fd", "M": 3, "iters": 5, "seed": 2, "trace_target": True},
         "output": {"dir": str(tmp_path / "out")},
     }
+
+
+class TestUnsatisfiableRequests:
+    @pytest.mark.parametrize("command", ["sample", "attack"])
+    @pytest.mark.parametrize("kind", ["exact", "rwm"])
+    def test_size_beyond_address_space_is_one_line_error(self, runner, tmp_path, command,
+                                                         kind):
+        # 10**15 draws of 2 floats exceed any address space, so the allocation
+        # fails at once and nothing is run
+        _, data_path = _gaussian_dataset(tmp_path, seed=13)
+        cfg_dict = _bayes_cfg(tmp_path, data_path)
+        cfg_dict["sampler"]["kind"] = kind
+        cfg_dict["sampler"]["T"] = 10**15
+        result = runner.invoke(main, [command, "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+        assert not (tmp_path / "out").exists()
+
+    def test_sampling_a_loss_model_is_one_line_error(self, runner, tmp_path):
+        _, data_path = _gaussian_dataset(tmp_path, seed=13, d=2)
+        cfg_dict = _nonbayes_cfg(tmp_path, data_path)
+        result = runner.invoke(main, ["sample", "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and "loss model" in lines[0]
 
 
 class TestAttackDataHandling:
