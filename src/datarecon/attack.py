@@ -28,6 +28,7 @@ from .measures import (
     stat_errors,
     write_rows,
 )
+from .models import LossModel
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -106,8 +107,7 @@ def initialize_pseudo(model, config: AttackConfig, draws: PosteriorDraws | None 
     layout = model.layout
     rng = np.random.default_rng([config.seed, 0])
     points = np.zeros((config.M, layout.p))
-    for idx, val in zip(layout.frozen_idx, layout.frozen_values):
-        points[:, idx] = val
+    points[:, list(layout.frozen_idx)] = layout.frozen_value
     free_x = [i for i in layout.x_idx if i not in layout.frozen_idx]
     if free_x:
         points[:, free_x] = rng.standard_normal((config.M, len(free_x)))
@@ -142,6 +142,17 @@ def objective_gradients(objective: str, model, measure, *, draws=None, slices=No
     return gw, gz
 
 
+def check_model_fits(objective: str, model) -> None:
+    """The objective/model rule: fd and sfd take a likelihood model, nonbayes
+    a loss model. A ``ValueError`` names the objective otherwise."""
+    if objective not in ("fd", "sfd", "nonbayes"):
+        raise ValueError(f"unknown objective: {objective!r}")
+    if isinstance(model, LossModel) != (objective == "nonbayes"):
+        kind = "loss" if objective == "nonbayes" else "likelihood"
+        raise ValueError(f"objective {objective!r} takes a {kind} model, "
+                         f"not {type(model).__name__}")
+
+
 def _evaluator(objective, model, draws, theta_star):
     """Check the run-level inputs of an objective once and return
     ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``.
@@ -153,6 +164,7 @@ def _evaluator(objective, model, draws, theta_star):
     posterior coefficients. nonbayes: phi(z) = grad_theta loss(theta*, z)
     and the value is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
     """
+    check_model_fits(objective, model)
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
@@ -167,7 +179,7 @@ def _evaluator(objective, model, draws, theta_star):
                 raise ValueError("sfd objective requires slice directions" if sliced
                                  else "fd objective takes no slices")
             return coef.value_and_grad(Phi, slices)
-    elif objective == "nonbayes":
+    else:
         if theta_star is None:
             raise ValueError("nonbayes objective requires released parameters")
         theta_star = np.asarray(theta_star, dtype=float).ravel()
@@ -181,8 +193,6 @@ def _evaluator(objective, model, draws, theta_star):
         def head(Phi, slices):
             G = reg + Phi
             return float(G @ G), 2.0 * G
-    else:
-        raise ValueError(f"unknown objective: {objective!r}")
 
     def evaluate(measure, slices, want_grads):
         w = measure.weights
@@ -243,57 +253,41 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
     Adam, record trace checkpoints. ``target_points`` (test mode only)
     enables per-checkpoint relative-error reporting against the true data.
     Raises ``AttackDiverged`` at the first non-finite objective value."""
+    evaluate = _evaluator(config.objective, model, draws, theta_star)
     layout = model.layout
     measure = initialize_pseudo(model, config, draws=draws, theta_star=theta_star)
     free_idx = list(layout.free_idx)
     M, pf = config.M, layout.p_free
 
-    w = measure.weights.copy()
-    points = measure.points.copy()
-    params = np.concatenate([w, points[:, free_idx].ravel()])
+    params = np.concatenate([measure.weights, measure.points[:, free_idx].ravel()])
     lr = np.concatenate([np.full(M, config.lr_w), np.full(M * pf, config.lr_z)])
     state = AdamState.zeros(len(params))
 
     slice_rng = np.random.default_rng([config.seed, 1])
-    target_stats = None
-    if target_points is not None:
-        target_stats = recon_statistics(build_measure(target_points), layout)
+    target_stats = (None if target_points is None
+                    else recon_statistics(build_measure(target_points), layout))
 
     header = {**asdict(config), "L": config.L if config.objective == "sfd" else None,
               "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
     trace = AttackTrace(header)
 
-    def current_measure():
-        pts = points.copy()
-        pts[:, free_idx] = params[M:].reshape(M, pf)
-        return WeightedEmpiricalMeasure(params[:M].copy(), pts)
-
-    def record(iteration, value, meas):
-        stats = recon_statistics(meas, layout)
-        errs = stat_errors(target_stats, stats) if target_stats is not None else None
-        trace.checkpoints.append(Checkpoint(iteration, value, stats, errs))
-
-    evaluate = _evaluator(config.objective, model, draws, theta_star)
-    T = draws.T if draws is not None else 0
     good = measure
-    for it in range(config.iters):
-        slices = None
-        if config.objective == "sfd":
-            slices = draw_slices(slice_rng, T, config.L, model.param_dim)
-        meas = current_measure()
-        value, gw, gz = evaluate(meas, slices, True)
+    # pass `iters` only evaluates and records the final measure
+    for it in range(config.iters + 1):
+        last = it == config.iters
+        slices = (draw_slices(slice_rng, draws.T, config.L, model.param_dim)
+                  if config.objective == "sfd" else None)
+        pts = measure.points.copy()
+        pts[:, free_idx] = params[M:].reshape(M, pf)
+        meas = WeightedEmpiricalMeasure(params[:M].copy(), pts)
+        value, gw, gz = evaluate(meas, slices, not last)
         if not np.isfinite(value):
             raise AttackDiverged(it, trace, good)
         good = meas
-        if it % config.trace_every == 0:
-            record(it, value, meas)
-        grads = np.concatenate([gw, gz.ravel()])
-        params = adam_update(state, params, grads, lr)
-
-    final = current_measure()
-    slices = None
-    if config.objective == "sfd":
-        slices = draw_slices(slice_rng, T, config.L, model.param_dim)
-    final_value, _, _ = evaluate(final, slices, False)
-    record(config.iters, final_value, final)
-    return trace, final
+        if last or it % config.trace_every == 0:
+            stats = recon_statistics(meas, layout)
+            errs = stat_errors(target_stats, stats) if target_stats is not None else None
+            trace.checkpoints.append(Checkpoint(it, value, stats, errs))
+        if not last:
+            params = adam_update(state, params, np.concatenate([gw, gz.ravel()]), lr)
+    return trace, good

@@ -4,15 +4,13 @@ Subcommands: ``sample`` (generate posterior draws), ``attack`` (run a
 reconstruction and emit trace/measure/summary files), ``verify`` (hermetic
 identity suite), ``report`` (relative errors between a measure file and a
 dataset file). Run configs are single JSON documents; unknown keys are
-rejected so typos fail loudly. The environment variable ``RECON_SEED``
-overrides all config seeds.
+rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -21,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .attack import AttackConfig, AttackDiverged, run_attack
+from .attack import AttackConfig, AttackDiverged, check_model_fits, run_attack
 from .divergence import PosteriorDraws
 from .measures import (
     Layout,
@@ -117,15 +115,6 @@ def load_config(path) -> dict:
         if not isinstance(cfg[section], dict):
             raise ValueError(f"section '{section}' must be an object")
         _check_keys(section, cfg[section])
-    seed_override = os.environ.get("RECON_SEED")
-    if seed_override is not None:
-        try:
-            seed = int(seed_override)
-        except ValueError:
-            raise ValueError("RECON_SEED must be an integer") from None
-        for section in ("sampler", "attack"):
-            if section in cfg:
-                cfg[section]["seed"] = seed
     return cfg
 
 
@@ -147,12 +136,13 @@ def _load_data(cfg: dict, model) -> np.ndarray:
         raise ValueError("data.path is required for this command")
     path = _path("data", cfg["data"], "path")
     if not path.exists():
-        raise ValueError(f"data file not found: {path}")
+        raise ValueError(f"data.path not found: {path}")
     points, header = load_dataset(path)
     if points.shape[1] != model.layout.p:
-        raise ValueError(
-            f"data has {points.shape[1]} coordinates, model expects {model.layout.p}")
-    for idx, value in zip(model.layout.frozen_idx, model.layout.frozen_values):
+        raise ValueError(f"data.path {path} has {points.shape[1]} columns, "
+                         f"model expects {model.layout.p}")
+    value = model.layout.frozen_value
+    for idx in model.layout.frozen_idx:
         if np.any(points[:, idx] != value):
             raise ValueError(f"data column {header[idx]!r} must be {value:g} in every row: "
                              f"the model holds that coordinate fixed")
@@ -183,21 +173,17 @@ def _get_draws(cfg: dict, model) -> tuple[PosteriorDraws, np.ndarray | None]:
             raise ValueError(f"sampler.path not found: {path}")
         draws = load_draws(path)
         if draws.dim != model.param_dim:
-            raise ValueError(
-                f"draws have {draws.dim} columns, model expects {model.param_dim}")
+            raise ValueError(f"sampler.path {path} has {draws.dim} columns, "
+                             f"model expects {model.param_dim}")
         return draws, None
     if kind == "exact" and not isinstance(model, GaussianMeanLocation):
-        raise ValueError("exact sampling is only available for gaussian_mean")
+        raise ValueError("sampler.kind 'exact' is only available for gaussian_mean")
     if kind == "rwm" and config.init is None:
-        raise ValueError("sampler.init is required for rwm")
+        raise ValueError("sampler.init is required for sampler.kind 'rwm'")
     X = _load_data(cfg, model)
     if kind == "exact":
         return exact_gaussian_mean_draws(X, config.T, config.seed), X
     return rwm_draws(model, X, config), X
-
-
-def _outdir(cfg: dict) -> Path:
-    return _path("output", cfg.get("output", {}), "dir", ".")
 
 
 class _Main(click.Group):
@@ -226,7 +212,7 @@ def sample(config_path):
     """Generate posterior draws and write them to a CSV file."""
     cfg = load_config(config_path)
     model = build_model(cfg.get("model", {}))
-    out = _outdir(cfg)
+    out = _path("output", cfg.get("output", {}), "dir", ".")
     draws, _ = _get_draws(cfg, model)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "draws.csv"
@@ -250,11 +236,11 @@ def attack(config_path):
     if not isinstance(trace_target, bool):
         raise ValueError(f"attack.trace_target must be true or false, got {trace_target!r}")
     acfg = _owned("attack", AttackConfig, settings)
-    out = _outdir(cfg)
-    if isinstance(model, LossModel) != (acfg.objective == "nonbayes"):
-        kind = "loss" if isinstance(model, LossModel) else "likelihood"
-        raise ValueError(f"attack.objective {acfg.objective!r} does not apply to "
-                         f"model.name {cfg['model']['name']!r}, a {kind} model")
+    out = _path("output", cfg.get("output", {}), "dir", ".")
+    try:
+        check_model_fits(acfg.objective, model)
+    except ValueError as exc:
+        raise ValueError(f"attack.{exc}") from None
 
     wall = {"sample": None}
     draws = data = None

@@ -53,14 +53,8 @@ def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> Di
     The prior score cancels in the gap, so only likelihood scores enter.
     """
     thetas = model.check_draws(draws.draws)
-    s_target = np.einsum(
-        "m,tmd->td", target_measure.weights,
-        model.score_batch(thetas, target_measure.points),
-    )
-    s_recon = np.einsum(
-        "m,tmd->td", recon_measure.weights,
-        model.score_batch(thetas, recon_measure.points),
-    )
+    s_target, s_recon = (np.einsum("m,tmd->td", m.weights, model.score_batch(thetas, m.points))
+                         for m in (target_measure, recon_measure))
     per_draw = 0.5 * np.sum((s_target - s_recon) ** 2, axis=1)
     return _estimate(per_draw, constant_note=False)
 

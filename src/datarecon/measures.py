@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,16 +30,15 @@ class Layout:
 
     ``x_idx`` are the covariate coordinates, ``y_idx`` the response (absent
     for pure-location models). ``frozen_idx`` marks coordinates the attack
-    never optimises (e.g. a fixed intercept); their values are pinned to
-    ``frozen_values``.
+    never optimises: intercepts, which every point holds at ``frozen_value``.
     """
 
     p: int
     x_idx: tuple[int, ...]
     y_idx: int | None = None
     frozen_idx: tuple[int, ...] = ()
-    frozen_values: tuple[float, ...] = ()
     names: tuple[str, ...] | None = None
+    frozen_value: ClassVar[float] = 1.0
 
     def __post_init__(self):
         integer("p", self.p, 1)
@@ -46,14 +46,12 @@ class Layout:
             integer("y_idx", self.y_idx, 0)
         for name, entry, kind in (("x_idx", Integral, "integers"),
                                   ("frozen_idx", Integral, "integers"),
-                                  ("frozen_values", Real, "finite numbers"),
                                   ("names", str, "strings")):
             value = getattr(self, name)
             if value is None and name == "names":
                 continue
             if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, entry) and not isinstance(v, bool)
-                    and (entry is not Real or math.isfinite(v)) for v in value):
+                    isinstance(v, entry) and not isinstance(v, bool) for v in value):
                 raise ValueError(f"{name} must be a list of {kind}, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         covered = set(self.x_idx) | ({self.y_idx} if self.y_idx is not None else set())
@@ -63,10 +61,6 @@ class Layout:
             raise ValueError("y_idx cannot also appear in x_idx")
         if not set(self.frozen_idx) <= set(self.x_idx):
             raise ValueError("frozen coordinates must be part of the x-part")
-        if self.frozen_idx and not self.frozen_values:
-            object.__setattr__(self, "frozen_values", (1.0,) * len(self.frozen_idx))
-        if len(self.frozen_values) != len(self.frozen_idx):
-            raise ValueError("frozen_values must match frozen_idx")
         if self.names is not None and len(self.names) != self.p:
             raise ValueError("names must have length p")
 

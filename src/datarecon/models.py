@@ -249,7 +249,8 @@ class _GaussianRegression(LikelihoodModel):
 
     With psi~ = (psi(x), u) and beta~ = (beta, -1) the square is
     beta~^T (psi~ psi~^T) beta~. Each product psi~_i psi~_j is a monomial in
-    the free data coordinates (frozen ones are pinned at 1); phi(z) holds
+    the free data coordinates, since the frozen ones hold
+    ``Layout.frozen_value`` = 1 and drop out of every product; phi(z) holds
     each distinct monomial once, the constant first, and the 0/1 matrix Q_k
     marks the products equal to monomial k. Then a = c(s) e_1 + q(beta) / s^2
     with q_k = -beta~^T Q_k beta~ / 2; ``_q``, ``_dq`` and ``_d2q`` hold q
@@ -262,8 +263,6 @@ class _GaussianRegression(LikelihoodModel):
         psi_exp = features.exponents
         if psi_exp.shape[1] != layout.px:
             raise ValueError("feature map input size must match the layout x-part")
-        if any(v != 1.0 for v in layout.frozen_values):
-            raise ValueError("a regression layout must pin its frozen coordinates at 1")
         self.features = features
         self.layout = layout
         self._free = list(layout.free_idx)

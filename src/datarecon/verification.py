@@ -189,6 +189,37 @@ def check_sfd_axis_slices(n_draws: int = 100, tol: float = 1e-12,
                        f"max rel err {worst:.3e} (tol {tol:g})")
 
 
+def _statistic_space_instance(model, rng, T=60, M=7):
+    """Draws inside the model's domain and a weighted measure whose frozen
+    coordinates hold their pinned value."""
+    thetas = 0.7 * rng.standard_normal((T, model.param_dim))
+    if isinstance(model, KidScoreModel):
+        thetas[:, 2] = 0.4 + rng.random(T)
+    pts = rng.standard_normal((M, model.layout.p))
+    pts[:, list(model.layout.frozen_idx)] = model.layout.frozen_value
+    return thetas, build_measure(pts, rng.standard_normal(M))
+
+
+def check_sfd_slice_table(n_instances: int = 5, L: int = 3, tol: float = 1e-12,
+                          seed: int = 20240825) -> CheckResult:
+    """Exact identity: at random normal slices the attack's sliced objective,
+    which contracts a table of the distinct Hessian entries, equals the
+    per-draw quadratic forms of ``sfd_objective``. The regression Hessians
+    have off-diagonal entries, so an error in those table rows shows."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    models = (BayesLinReg.identity_with_intercept(2), BayesLinReg.polynomial(3), KidScoreModel())
+    for model in n_instances * models:
+        thetas, recon = _statistic_space_instance(model, rng)
+        draws = PosteriorDraws(thetas)
+        slices = rng.standard_normal((draws.T, L, model.param_dim))
+        table = objective_value("sfd", model, recon, draws=draws, slices=slices)
+        ref = sfd_objective(model, draws, slices, recon).value
+        worst = max(worst, abs(table - ref) / max(abs(ref), 1e-300))
+    return CheckResult("sfd_slice_table_matches_per_draw", worst < tol,
+                       f"max rel err {worst:.3e} (tol {tol:g})")
+
+
 def _ibp_instance(T, seed):
     """One-dimensional Gaussian-mean data, a weighted recon measure, exact
     posterior draws and the target-data posterior score at each draw (the
@@ -356,6 +387,7 @@ ALL_CHECKS = (
     check_sfd_fd_agreement,
     check_sfd_fd_agreement_paired,
     check_sfd_axis_slices,
+    check_sfd_slice_table,
     check_ibp_constant,
     check_ibp_constant_paired,
     check_fd_audits,

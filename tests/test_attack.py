@@ -4,6 +4,7 @@ import pytest
 from datarecon.attack import (
     AdamState,
     AttackConfig,
+    AttackDiverged,
     adam_update,
     draw_slices,
     initialize_pseudo,
@@ -17,9 +18,11 @@ from datarecon.models import (
     BayesLinReg,
     GaussianMeanLocation,
     KidScoreModel,
+    LogisticLoss,
     SquaredErrorLoss,
 )
 from datarecon.samplers import exact_gaussian_mean_draws
+from datarecon.verification import _statistic_space_instance
 
 
 class TestAdam:
@@ -160,18 +163,6 @@ STATISTIC_SPACE_MODELS = [
 ]
 
 
-def _statistic_space_instance(model, rng, T=60, M=7):
-    """Draws inside the model's domain and a weighted measure respecting
-    its frozen coordinates."""
-    thetas = 0.7 * rng.standard_normal((T, model.param_dim))
-    if isinstance(model, KidScoreModel):
-        thetas[:, 2] = 0.4 + rng.random(T)
-    pts = rng.standard_normal((M, model.layout.p))
-    for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
-        pts[:, idx] = val
-    return thetas, build_measure(pts, rng.standard_normal(M))
-
-
 def _max_rel(x, ref):
     return np.max(np.abs(np.asarray(x) - ref)) / np.max(np.abs(ref))
 
@@ -305,6 +296,26 @@ class TestObjectiveGradients:
             with pytest.raises(ValueError, match="slices must have shape"):
                 objective_gradients("sfd", model, m, draws=draws, slices=np.zeros(shape))
 
+    def test_objective_model_mismatch_rejected(self):
+        m = build_measure([[0.0, 1.0]])
+        draws = exact_gaussian_mean_draws([[0.0, 0.0]], 5)
+        # fd/sfd take a likelihood model
+        with pytest.raises(ValueError, match="objective 'fd' takes a likelihood model"):
+            objective_value("fd", LogisticLoss(1), m, draws=draws)
+        with pytest.raises(ValueError, match="objective 'sfd' takes a likelihood model"):
+            objective_gradients("sfd", LogisticLoss(1), m, draws=draws,
+                                slices=np.zeros((5, 1, 1)))
+        with pytest.raises(ValueError, match="takes a likelihood model"):
+            run_attack(LogisticLoss(1), AttackConfig(objective="fd", M=2, iters=1),
+                       draws=draws)
+        # nonbayes takes a loss model
+        with pytest.raises(ValueError, match="objective 'nonbayes' takes a loss model"):
+            objective_value("nonbayes", GaussianMeanLocation(2), m, theta_star=[0.0, 0.0])
+        with pytest.raises(ValueError, match="takes a loss model"):
+            run_attack(GaussianMeanLocation(2),
+                       AttackConfig(objective="nonbayes", M=2, iters=1),
+                       theta_star=[0.0, 0.0])
+
 
 class TestRunAttack:
     def test_deterministic(self):
@@ -374,6 +385,22 @@ class TestRunAttack:
         assert [c.iteration for c in trace.checkpoints] == [0, 10, 20, 25]
         assert trace.checkpoints[0].errors is not None
         assert "total_mass" in trace.checkpoints[0].errors
+
+    def test_divergence_at_the_last_step_is_raised(self):
+        # one Adam step of 1e200 leaves a measure whose objective overflows:
+        # the final evaluation gets the same check as every other
+        rng = np.random.default_rng(6)
+        model = GaussianMeanLocation(2)
+        draws = exact_gaussian_mean_draws(rng.standard_normal((6, 2)), 50, seed=5)
+        cfg = AttackConfig(objective="sfd", M=3, iters=1, L=2, lr_w=1e200, lr_z=1e200,
+                           seed=4)
+        with np.errstate(all="ignore"), pytest.raises(AttackDiverged) as info:
+            run_attack(model, cfg, draws=draws)
+        assert info.value.iteration == 1
+        assert [c.iteration for c in info.value.trace.checkpoints] == [0]
+        initial = initialize_pseudo(model, cfg, draws=draws)
+        np.testing.assert_array_equal(info.value.measure.weights, initial.weights)
+        np.testing.assert_array_equal(info.value.measure.points, initial.points)
 
     def test_trace_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(24)

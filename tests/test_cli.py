@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,20 +149,6 @@ class TestAttackCommand:
             ))
         assert texts[0] == texts[1]
 
-    def test_recon_seed_env_overrides(self, runner, tmp_path):
-        _, data_path = _gaussian_dataset(tmp_path, seed=8)
-        cfg_dict = self._attack_cfg(tmp_path, data_path, seed=4)
-        outputs = {}
-        for label, env in (("base", {}), ("override", {"RECON_SEED": "99"})):
-            cfg_dict["output"] = {"dir": str(tmp_path / label)}
-            cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
-            result = runner.invoke(main, ["attack", "--config", cfg], env=env)
-            assert result.exit_code == 0, result.output
-            summary = json.loads((tmp_path / label / "summary.json").read_text())
-            outputs[label] = summary
-        assert outputs["base"]["attack"]["seed"] == 4
-        assert outputs["override"]["attack"]["seed"] == 99
-
     def test_diverged_attack_exits_3(self, runner, tmp_path):
         _, data_path = _gaussian_dataset(tmp_path, seed=6)
         cfg_dict = self._attack_cfg(tmp_path, data_path)
@@ -185,6 +172,31 @@ class TestAttackCommand:
         assert measure.points.shape == (3, 2)
         assert np.isfinite(measure.weights).all() and np.isfinite(measure.points).all()
         assert summary["final"]["total_mass"] == pytest.approx(measure.weights.sum())
+
+    def test_divergence_at_the_last_step_exits_3(self, runner, tmp_path):
+        # one Adam step of 1e200 makes the final objective non-finite; it is
+        # checked like every other and reported without numpy warnings
+        _, data_path = _gaussian_dataset(tmp_path, seed=6)
+        cfg_dict = self._attack_cfg(tmp_path, data_path)
+        cfg_dict["sampler"]["T"] = 50
+        cfg_dict["attack"] = {"objective": "sfd", "M": 3, "iters": 1, "L": 2, "seed": 4,
+                              "lr_w": 1e200, "lr_z": 1e200}
+        cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 3, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert lines == ["error: objective became non-finite at iteration 1"]
+        out = tmp_path / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "diverged" and summary["diverged_at"] == 1
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
+        measure = load_measure(out / "measure.csv")
+        assert np.all(measure.weights == 1.0)
+        initial = np.random.default_rng([4, 0]).standard_normal((3, 2))
+        np.testing.assert_array_equal(measure.points, initial)
 
     def test_nonbayes_requires_theta_star(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", {
@@ -216,11 +228,12 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
 
-    def test_full_suite_lists_10_passing_checks(self, runner):
+    def test_full_suite_lists_11_passing_checks(self, runner):
         result = runner.invoke(main, ["verify"])
         assert result.exit_code == 0, result.output
         lines = result.output.strip().splitlines()
-        assert len(lines) == 10 and all(line.startswith("PASS  ") for line in lines)
+        assert len(lines) == 11 and all(line.startswith("PASS  ") for line in lines)
+        assert any("sfd_slice_table_matches_per_draw" in line for line in lines)
         assert any("sfd_equals_fd_at_axis_slices" in line for line in lines)
         assert any("sfd_matches_fd_ibp_paired" in line for line in lines)
         assert any("ibp_constant_consistency_paired" in line for line in lines)
@@ -264,7 +277,8 @@ class TestReportCommand:
         save_measure(measure_path, build_measure(X), Layout(p=1, x_idx=(0,)))
         layout_path = tmp_path / "layout.json"
         for layout in ({"p": 1, "x_idx": [0], "oops": 1}, {"p": 1, "x_idx": 0},
-                       {"p": 2.7, "x_idx": [0, 1]}, {"x_idx": [0]}, [1]):
+                       {"p": 2.7, "x_idx": [0, 1]}, {"x_idx": [0]}, [1],
+                       {"p": 1, "x_idx": [0], "frozen_idx": [0], "frozen_values": [1.0]}):
             layout_path.write_text(json.dumps(layout))
             result = runner.invoke(main, [
                 "report", "--measure", str(measure_path),
@@ -309,8 +323,10 @@ def _with(cfg, section, settings):
     return base
 
 
-# (case id, base config, section, key, bad value); section None replaces the
-# whole config
+_MISSING = object()
+
+# (case id, base config, section, key, bad value); key None replaces the whole
+# section (or, with _MISSING, removes it) and section None the whole config
 BAD_ATTACK_INPUTS = [
     ("top_level_null", _bayes_cfg, None, None, None),
     ("top_level_list", _bayes_cfg, None, None, []),
@@ -335,9 +351,8 @@ BAD_ATTACK_INPUTS = [
     ("lr_w_negative", _bayes_cfg, "attack", "lr_w", -1e-3),
     ("step_scale_nan", _bayes_cfg, "sampler", "step_scale", float("nan")),
     ("loss_model_with_fd", _nonbayes_cfg, "attack", "objective", "fd"),
-    # the logistic model's dim is no key of squared_error, so it is left out
-    ("loss_model_with_sfd", _with(_nonbayes_cfg, "model", {"name": "logistic", "ridge": 0.1}),
-     "model", "name", "squared_error"),
+    ("loss_model_with_sfd", _with(_nonbayes_cfg, "model", {"name": "squared_error"}),
+     "attack", "objective", "sfd"),
     ("likelihood_model_with_nonbayes", _bayes_cfg, "attack", "objective", "nonbayes"),
     ("theta_star_too_short", _nonbayes_cfg, "attack", "theta_star", []),
     ("theta_star_too_long", _nonbayes_cfg, "attack", "theta_star", [0.5, 1.0]),
@@ -353,6 +368,16 @@ BAD_ATTACK_INPUTS = [
     # the dataset has 2 columns, kidscore expects 3: the init is checked first
     ("sampler_init_outside_domain", _with(_bayes_cfg, "model", {"name": "kidscore"}),
      "sampler", "init", [0.0, 0.0, -1.0]),
+    ("sampler_section_missing", _bayes_cfg, "sampler", None, _MISSING),
+    ("sampler_kind_unknown", _bayes_cfg, "sampler", "kind", "gibbs"),
+    ("exact_on_kidscore", _with(_with(_bayes_cfg, "model", {"name": "kidscore"}),
+                                "sampler", {"kind": "rwm", "T": 10}),
+     "sampler", "kind", "exact"),
+    ("rwm_without_init", _with(_bayes_cfg, "sampler", {"kind": "exact", "T": 10}),
+     "sampler", "kind", "rwm"),
+    ("data_path_missing", _bayes_cfg, "data", None, {}),
+    ("data_file_missing", _bayes_cfg, "data", "path", "no_such_data.csv"),
+    ("draws_file_missing", _file_draws_cfg, "sampler", "path", "no_such_draws.csv"),
 ]
 
 
@@ -365,12 +390,12 @@ class TestAttackConfigErrors:
         cfg_dict = base(tmp_path, data_path)
         if section is None:
             cfg_dict = value
+        elif key is None and value is _MISSING:
+            del cfg_dict[section]
+        elif key is None:
+            cfg_dict[section] = value
         else:
             cfg_dict[section][key] = value
-        if case == "loss_model_with_sfd":
-            cfg_dict["attack"]["objective"] = "sfd"
-        if case == "likelihood_model_with_nonbayes":
-            cfg_dict["attack"]["theta_star"] = [0.0, 0.0]
         cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
         result = runner.invoke(main, ["attack", "--config", cfg])
         assert result.exit_code == 2, (result.output, result.exception)
@@ -378,7 +403,7 @@ class TestAttackConfigErrors:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if section is not None:
-            assert f"{section}.{key}" in lines[0]
+            assert (section if key is None else f"{section}.{key}") in lines[0]
         assert not (tmp_path / "out" / "trace.csv").exists()
 
 
@@ -440,6 +465,73 @@ class TestAttackDataHandling:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "row 3" in lines[0] and "non-finite" in lines[0]
         assert not (tmp_path / "out").exists()
+
+    def test_config_not_json_is_one_line_error(self, runner, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"model": ')
+        result = runner.invoke(main, ["attack", "--config", str(tmp_path / "cfg.json")])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config is not valid JSON")
+
+    @pytest.mark.parametrize("key", ["data.path", "sampler.path"])
+    def test_wrong_column_count_is_one_line_error(self, runner, tmp_path, key):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("a,b,c\n0.5,1.0,2.0\n")
+        _, data_path = _gaussian_dataset(tmp_path, seed=13)
+        if key == "data.path":
+            cfg_dict = _with(_bayes_cfg, "sampler", {"kind": "exact", "T": 10})(tmp_path,
+                                                                                str(wide))
+        else:
+            cfg_dict = _file_draws_cfg(tmp_path, data_path)
+            cfg_dict["sampler"]["path"] = str(wide)
+        result = runner.invoke(main, ["attack", "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        lines = result.output.strip().splitlines()
+        assert lines == [f"error: {key} {wide} has 3 columns, model expects 2"]
+        assert not (tmp_path / "out").exists()
+
+    def test_file_sampler_attacks_like_the_sampler_that_wrote_it(self, runner, tmp_path):
+        cfg_dict = _kidscore_cfg(tmp_path)
+        cfg_dict["sampler"]["T"] = 20
+        cfg_dict["attack"].update(objective="sfd", L=2)
+        cfg_dict["output"] = {"dir": str(tmp_path / "rwm")}
+        cfg = _write_config(tmp_path / "rwm.json", cfg_dict)
+        for command in ("sample", "attack"):
+            result = runner.invoke(main, [command, "--config", cfg])
+            assert result.exit_code == 0, result.output
+        cfg_dict["sampler"] = {"kind": "file", "path": str(tmp_path / "rwm" / "draws.csv")}
+        cfg_dict["output"] = {"dir": str(tmp_path / "file")}
+        result = runner.invoke(main, ["attack", "--config",
+                                      _write_config(tmp_path / "file.json", cfg_dict)])
+        assert result.exit_code == 0, result.output
+        for name in ("trace.csv", "measure.csv"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "rwm" / name).read_bytes())
+        summary = json.loads((tmp_path / "file" / "summary.json").read_text())
+        assert summary["draws"]["source"] == "file" and summary["draws"]["T"] == 20
+
+    def test_bayes_linreg_degree_from_config(self, runner, tmp_path):
+        rng = np.random.default_rng(16)
+        s = rng.standard_normal(15)
+        y = 1.0 + s - 0.5 * s**2 + 0.3 * rng.standard_normal(15)
+        save_dataset(tmp_path / "data.csv", np.column_stack([s, y]), ("s", "y"))
+        cfg = _write_config(tmp_path / "cfg.json", {
+            "model": {"name": "bayes_linreg", "degree": 2},
+            "data": {"path": str(tmp_path / "data.csv")},
+            "sampler": {"kind": "rwm", "T": 20, "burn_in": 20, "seed": 1,
+                        "init": [0.0, 0.0, 0.0]},
+            "attack": {"objective": "fd", "M": 3, "iters": 5, "seed": 2,
+                       "trace_target": True},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        result = runner.invoke(main, ["attack", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        # polynomial features: points (s, y) rather than (1, x, y)
+        assert load_measure(tmp_path / "out" / "measure.csv").points.shape == (3, 2)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["draws"]["T"] == 20
+        assert summary["final"]["errors"] is not None
 
     def test_frozen_column_must_match_layout(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", _kidscore_cfg(tmp_path, intercept=2.0))

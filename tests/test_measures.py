@@ -169,8 +169,10 @@ class TestLayout:
         assert LAYOUT_XY.free_idx == (1, 2)
         assert LAYOUT_XY.p_free == 2
 
-    def test_frozen_values_default_to_one(self):
-        assert LAYOUT_XY.frozen_values == (1.0,)
+    def test_frozen_coordinates_are_pinned_at_one(self):
+        assert LAYOUT_XY.frozen_value == 1.0
+        with pytest.raises(TypeError, match="frozen_values"):
+            Layout(p=2, x_idx=(0,), y_idx=1, frozen_idx=(0,), frozen_values=(2.0,))
 
     def test_incomplete_coverage_rejected(self):
         with pytest.raises(ValueError):
@@ -185,8 +187,7 @@ class TestLayout:
         ({"p": 2, "x_idx": (0.0, 1.0)}, "x_idx"),
         ({"p": 2, "x_idx": 0}, "x_idx"),
         ({"p": 2, "x_idx": (0,), "y_idx": True}, "y_idx"),
-        ({"p": 2, "x_idx": (0, 1), "frozen_idx": (0,), "frozen_values": (float("nan"),)},
-         "frozen_values"),
+        ({"p": 2, "x_idx": (0, 1), "frozen_idx": (0.0,)}, "frozen_idx"),
         ({"p": 1, "x_idx": (0,), "names": ("a", 1)}, "names"),
     ])
     def test_field_types_checked(self, fields, key):
@@ -194,6 +195,5 @@ class TestLayout:
             Layout(**fields)
 
     def test_lists_become_tuples(self):
-        layout = Layout(p=2, x_idx=[0], y_idx=1, frozen_idx=[0], frozen_values=[1])
+        layout = Layout(p=2, x_idx=[0], y_idx=1, frozen_idx=[0])
         assert layout.x_idx == (0,) and layout.frozen_idx == (0,)
-        assert layout.frozen_values == (1,)

@@ -243,8 +243,7 @@ class TestLogLikelihoodDensity:
         for _ in range(20):
             theta = draw_theta(rng)
             pts = 1.5 * rng.standard_normal((7, model.layout.p))
-            for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
-                pts[:, idx] = val
+            pts[:, list(model.layout.frozen_idx)] = model.layout.frozen_value
             np.testing.assert_allclose(model.log_lik_batch(theta, pts),
                                        density(theta, pts), rtol=1e-12, atol=1e-12)
 
@@ -265,8 +264,7 @@ def _random_point(model, rng):
     if isinstance(model, KidScoreModel):
         theta[2] = 0.5 + rng.random()
     x = rng.standard_normal(model.layout.p)
-    for idx, val in zip(model.layout.frozen_idx, model.layout.frozen_values):
-        x[idx] = val
+    x[list(model.layout.frozen_idx)] = model.layout.frozen_value
     return theta, x
 
 
@@ -379,11 +377,6 @@ class TestMinimalFeatureBasis:
         ev, vecs = np.linalg.eigh(_release_gram(model, np.random.default_rng(5)))
         assert np.sum(ev < 1e-10 * ev[-1]) == 1
         np.testing.assert_allclose(np.abs(vecs[:, 0]), np.eye(len(ev))[-1], atol=1e-10)
-
-    def test_regression_frozen_values_must_be_one(self):
-        layout = Layout(p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,), frozen_values=(2.0,))
-        with pytest.raises(ValueError, match="frozen"):
-            BayesLinReg(IdentityFeatures(2), layout)
 
 
 class TestConstructorSettings:
