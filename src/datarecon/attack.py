@@ -2,7 +2,8 @@
 Adam updates and convergence traces of the recoverable statistics.
 
 Three objective modes: 'fd' (integration-by-parts trace form), 'sfd'
-(sliced quadratic forms, fresh slice directions every iteration) and
+(sliced quadratic forms, a fresh draw of each slice block's second moment
+every iteration) and
 'nonbayes' (squared norm of the weighted loss-gradient sum at the released
 parameters). All three are assembled in statistic space by one evaluator:
 the pseudo-measure enters only through a feature sum, which a per-mode head
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .checks import integer, number
-from .divergence import PosteriorCoefficients, PosteriorDraws
+from .divergence import PosteriorCoefficients, PosteriorDraws, SliceMoments
 from .measures import (
     ReconStats,
     WeightedEmpiricalMeasure,
@@ -65,6 +66,7 @@ class AttackConfig:
             raise ValueError(f"objective must be fd, sfd or nonbayes, got {self.objective!r}")
         for name, low in (("M", 1), ("iters", 1), ("L", 1), ("seed", 0), ("trace_every", 1)):
             integer(name, getattr(self, name), low)
+        number("L", self.L)           # draw_slices takes L as a float
         number("lr_w", self.lr_w)
         number("lr_z", self.lr_z)
 
@@ -94,9 +96,26 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def draw_slices(rng: np.random.Generator, T: int, L: int, d: int) -> np.ndarray:
-    """One block of L standard-normal slice directions per draw."""
-    return rng.standard_normal((T, L, d))
+def draw_slices(rng: np.random.Generator, T: int, L: int, d: int) -> SliceMoments:
+    """The second moments of one block of L standard-normal slice directions
+    per draw, drawn directly rather than from the directions.
+
+    The block sum of v v^T is Wishart_d(L, I), which equals A A^T in law
+    (Bartlett; Odell & Feiveson, JASA 1966) for the lower-trapezoidal
+    A (d, min(L, d)) whose entries below the diagonal are N(0, 1) and whose
+    diagonal entries are sqrt(chi^2_{L-i}) = sqrt(2 Gamma((L - i) / 2)). This
+    is exact for every L >= 1, L < d included, and takes at most d(d+1)/2
+    variates per draw whatever L is: one call draws all the normals, then
+    one all the gammas."""
+    m = min(L, d)
+    I, J = np.tril_indices(d, -1)
+    below = J < m
+    cols = np.zeros((m, d, T))                   # cols[k, i] = A_ik
+    cols[J[below], I[below]] = rng.standard_normal((int(below.sum()), T))
+    k = np.arange(m)
+    cols[k, k] = np.sqrt(2.0 * rng.standard_gamma((float(L) - k)[:, None] / 2.0, size=(m, T)))
+    P, Q = np.triu_indices(d)
+    return SliceMoments(np.einsum("kpt,kpt->pt", cols[:, P], cols[:, Q]), L)
 
 
 def initialize_pseudo(model, config: AttackConfig, draws: PosteriorDraws | None = None,

@@ -34,6 +34,25 @@ class PosteriorDraws:
 
 
 @dataclass(frozen=True)
+class SliceMoments:
+    """The slice directions of each draw's block, reduced to what the sliced
+    objective uses: ``sums[p, t]`` is sum_l v_i v_j over the L directions of
+    draw t, for the p-th pair i <= j in ``np.triu_indices(d)`` order, so
+    V_t = sums[:, t] / L. A (pairs, T) array with its L cannot pass for the
+    (T, L, d) directions themselves."""
+
+    sums: np.ndarray  # (d(d+1)/2, T)
+    L: int
+
+    @classmethod
+    def of(cls, slices: np.ndarray) -> "SliceMoments":
+        """The pair sums of raw slice directions of shape (T, L, d)."""
+        by_coord = np.ascontiguousarray(np.moveaxis(slices, 2, 0))
+        return cls(np.concatenate([np.einsum("tl,ptl->pt", by_coord[i], by_coord[i:])
+                                   for i in range(len(by_coord))]), slices.shape[1])
+
+
+@dataclass(frozen=True)
 class DivergenceEstimate:
     value: float
     std_error: float
@@ -113,26 +132,29 @@ class PosteriorCoefficients:
 
     def mean_curvature(self, slices=None):
         """The draw averages of ``curvature(slices)``: c-bar (K,) and the
-        prior's (scalar).
+        prior's (scalar). ``slices`` may also be their ``SliceMoments``.
 
-        For slices, each V_t is reduced to its d(d+1)/2 distinct entries and
-        contracted in one matrix-vector product with a table of the matching
-        entries of B and P, off-diagonal ones doubled. The table is built at
-        the first sliced call only, so the trace form never holds it."""
+        Each V_t enters through its d(d+1)/2 distinct entries, contracted in
+        one matrix-vector product with a table of the matching entries of B
+        and P, off-diagonal ones doubled. The table is built at the first
+        sliced call only, so the trace form never holds it."""
         if slices is None:
             return self.c_bar, self.c_prior_bar
-        slices = self._check_slices(slices)
+        T, d = self.prior_score.shape
+        if isinstance(slices, SliceMoments):
+            if slices.sums.shape != (d * (d + 1) // 2, T):
+                raise ValueError(f"slice moments must have shape (d(d+1)/2, T={T}) with "
+                                 f"d={d}, got {slices.sums.shape}")
+            moments = slices
+        else:
+            moments = SliceMoments.of(self._check_slices(slices))
         if self._slice_table is None:
-            I, J = np.triu_indices(slices.shape[2])
+            I, J = np.triu_indices(d)
             table = np.concatenate([self.B[:, :, I, J], self.prior_hess[:, None, I, J]],
                                    axis=1)                       # (T, K + 1, pairs)
             table = table.transpose(2, 0, 1) * np.where(I == J, 1.0, 2.0)[:, None, None]
             self._slice_table = table.reshape(-1, table.shape[2])
-        # (pairs, T): the sums over l of v_i v_j for each pair i <= j
-        by_coord = np.ascontiguousarray(np.moveaxis(slices, 2, 0))
-        sums = np.concatenate([np.einsum("tl,ptl->pt", by_coord[i], by_coord[i:])
-                               for i in range(len(by_coord))])
-        c = sums.ravel() @ self._slice_table / (self.T * slices.shape[1])
+        c = moments.sums.ravel() @ self._slice_table / (T * moments.L)
         return c[:-1], float(c[-1])
 
     def per_draw(self, Phi, slices=None):

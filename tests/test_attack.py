@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from datarecon import attack
 from datarecon.attack import (
     AdamState,
     AttackConfig,
@@ -12,7 +13,7 @@ from datarecon.attack import (
     objective_value,
     run_attack,
 )
-from datarecon.divergence import PosteriorCoefficients
+from datarecon.divergence import PosteriorCoefficients, SliceMoments
 from datarecon.measures import build_measure
 from datarecon.models import (
     BayesLinReg,
@@ -244,7 +245,7 @@ class TestObjectiveGradients:
         pts = np.column_stack([
             np.ones(3), rng.standard_normal((3, 2))])
         m = build_measure(pts, rng.standard_normal(3))
-        slices = draw_slices(rng, 20, 4, 3)
+        slices = rng.standard_normal((20, 4, 3))
         assert _fd_gradcheck("sfd", model, m, draws=draws, slices=slices) < 1e-7
 
     def test_nonbayes_gradients_match_finite_differences(self):
@@ -317,7 +318,93 @@ class TestObjectiveGradients:
                        theta_star=[0.0, 0.0])
 
 
+class TestSliceMoments:
+    """``draw_slices`` draws each block's sum of v v^T directly. Its law must
+    be that of L standard-normal directions per draw, Wishart_d(L, I)."""
+
+    T = 200_000
+
+    @staticmethod
+    def _matrices(moments, d):
+        I, J = np.triu_indices(d)
+        W = np.zeros((moments.sums.shape[1], d, d))
+        W[:, I, J] = moments.sums.T
+        W[:, J, I] = moments.sums.T
+        return W
+
+    @pytest.mark.parametrize("L,d", [(10, 3), (3, 3), (2, 3), (1, 3), (7, 2), (1, 1)])
+    def test_law_of_the_pair_sums(self, L, d):
+        T = self.T
+        moments = draw_slices(np.random.default_rng([L, d]), T, L, d)
+        I, J = np.triu_indices(d)
+        diag = I == J
+        assert isinstance(moments, SliceMoments) and moments.L == L
+        assert moments.sums.shape == (len(I), T)
+        # each pair sum is a sum of L iid terms v_i v_j: for i = j a
+        # chi^2_L (mean L, variance 2L, fourth central moment 12L(L+4)),
+        # for i != j mean 0, variance L and fourth moment 3L^2 + 6L
+        mean, var = moments.sums.mean(axis=1), moments.sums.var(axis=1, ddof=1)
+        true_var = L * (1.0 + diag)
+        fourth = np.where(diag, 12.0 * L * (L + 4), 3.0 * L**2 + 6.0 * L)
+        assert np.all(np.abs(mean - L * diag) <= 4 * np.sqrt(true_var / T)), mean
+        assert np.all(np.abs(var - true_var) <= 4 * np.sqrt((fourth - true_var**2) / T)), var
+        det = np.linalg.det(self._matrices(moments, d))
+        if L >= d:
+            # E det W = L! / (L - d)! for W ~ Wishart_d(L, I)
+            expected = float(np.prod(np.arange(L - d + 1, L + 1)))
+            assert abs(det.mean() - expected) <= 4 * det.std(ddof=1) / np.sqrt(T)
+        else:
+            # rank L < d: singular up to rounding
+            trace = moments.sums[diag].sum(axis=0)
+            assert np.max(np.abs(det) / trace**3) < 1e-12
+
+    def test_equal_seeds_give_identical_arrays(self):
+        a, b = (draw_slices(np.random.default_rng(3), 100, 4, 3) for _ in range(2))
+        np.testing.assert_array_equal(a.sums, b.sums)
+
+    def test_slice_count_far_beyond_memory(self):
+        # the draw costs the same whatever L is; V_t = sums / L is near I
+        moments = draw_slices(np.random.default_rng(4), 50, 10**9, 2)
+        assert moments.sums.shape == (3, 50)
+        assert np.all(np.isfinite(moments.sums))
+        np.testing.assert_allclose(moments.sums.mean(axis=1) / 10**9, [1.0, 0.0, 1.0],
+                                   atol=1e-3)
+
+    def test_moments_and_raw_slices_give_the_same_curvature(self):
+        rng = np.random.default_rng(5)
+        model = KidScoreModel()
+        thetas = np.column_stack([rng.standard_normal((30, 2)), 0.5 + rng.random(30)])
+        coef = PosteriorCoefficients(model, thetas)
+        slices = rng.standard_normal((30, 4, 3))
+        for raw, moments in zip(coef.mean_curvature(slices),
+                                coef.mean_curvature(SliceMoments.of(slices))):
+            np.testing.assert_array_equal(raw, moments)
+        with pytest.raises(ValueError, match="slice moments must have shape"):
+            coef.mean_curvature(SliceMoments(np.zeros((6, 29)), 4))
+
+
 class TestRunAttack:
+    @pytest.mark.parametrize("objective", ["fd", "sfd", "nonbayes"])
+    def test_slices_drawn_through_the_module_on_every_pass(self, monkeypatch, objective):
+        # run_attack must look draw_slices up on the attack module each pass,
+        # so that a wrapper put there (a profiler's span) sees every draw
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return draw_slices(*args)
+
+        monkeypatch.setattr(attack, "draw_slices", counting)
+        cfg = AttackConfig(objective=objective, M=2, iters=7, L=3, seed=1)
+        if objective == "nonbayes":
+            run_attack(SquaredErrorLoss.identity_with_intercept(1, ridge=0.5), cfg,
+                       theta_star=[0.1, 0.2])
+        else:
+            draws = exact_gaussian_mean_draws(np.ones((3, 2)), 10, seed=2)
+            run_attack(GaussianMeanLocation(2), cfg, draws=draws)
+        assert len(calls) == (cfg.iters + 1 if objective == "sfd" else 0)
+        assert all(args[1:] == (10, 3, 2) for args in calls)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         model = GaussianMeanLocation(2)

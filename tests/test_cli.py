@@ -117,6 +117,18 @@ class TestAttackCommand:
         assert "total_mass" in summary["final"]
         assert "total_mass" in summary["final"]["errors"]
 
+    def test_slice_count_beyond_memory_runs(self, runner, tmp_path):
+        # the slice draw takes the same variates whatever L is, so L = 10**9
+        # (a (T, L, d) array of 596 GiB) runs like L = 4
+        _, data_path = _gaussian_dataset(tmp_path, seed=6)
+        cfg_dict = self._attack_cfg(tmp_path, data_path)
+        cfg_dict["attack"]["L"] = 10**9
+        result = runner.invoke(main, ["attack", "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["attack"]["L"] == 10**9
+
     def test_summary_reports_status_draws_and_wall_times(self, runner, tmp_path):
         _, data_path = _gaussian_dataset(tmp_path, seed=10, d=1)
         cfg_dict = self._attack_cfg(tmp_path, data_path)
@@ -341,6 +353,7 @@ BAD_ATTACK_INPUTS = [
     ("M_float", _bayes_cfg, "attack", "M", 2.5),
     ("iters_bool", _nonbayes_cfg, "attack", "iters", True),
     ("L_float", _bayes_cfg, "attack", "L", 2.0),
+    ("L_beyond_float_range", _bayes_cfg, "attack", "L", 10**400),
     ("trace_every_string", _nonbayes_cfg, "attack", "trace_every", "10"),
     ("seed_bool", _bayes_cfg, "attack", "seed", False),
     ("sampler_T_string", _bayes_cfg, "sampler", "T", "10"),
