@@ -183,7 +183,10 @@ def _get_draws(cfg: dict, model) -> tuple[PosteriorDraws, np.ndarray | None]:
     X = _load_data(cfg, model)
     if kind == "exact":
         return exact_gaussian_mean_draws(X, config.T, config.seed), X
-    return rwm_draws(model, X, config), X
+    try:
+        return rwm_draws(model, X, config), X
+    except ValueError as exc:
+        raise ValueError(f"sampler.{exc}") from None
 
 
 class _Main(click.Group):

@@ -98,7 +98,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     with np.errstate(all="ignore"):
         lp = log_post(theta[None, :])[0]
         if not np.isfinite(lp):
-            raise ValueError("initial parameter has zero posterior probability")
+            raise ValueError(f"init {list(config.init)} has zero posterior probability")
         for start in range(0, n_steps, RWM_CHUNK):
             n = min(RWM_CHUNK, n_steps - start)
             for i in range(n):

@@ -17,6 +17,7 @@ from .divergence import (
     NonBayesKernel,
     PosteriorCoefficients,
     PosteriorDraws,
+    _estimate,
     fd_direct,
     fd_ibp_objective,
     loss_gradient_gap,
@@ -118,9 +119,14 @@ def check_nonbayes_identity(n_instances: int = 50, tol: float = 1e-10,
                        f"max rel err {worst:.3e} (tol {tol:g})")
 
 
-def _sfd_fd_instance(T, L, seed):
-    """Gaussian-mean draws, a weighted recon measure with its feature sums,
-    and L standard-normal slices per draw."""
+def check_sfd_fd_agreement(T: int = 100, L: int = 10_000,
+                           seed: int = 20240819) -> CheckResult:
+    """Statistical identity: the sliced objective converges to the trace-form
+    objective as the slice count grows. Per draw the two differ only by
+    <H_t, V_t - I>, whose slice expectation is zero, so the gap on the
+    attack's path and on the per-draw one is tested at 3 standard errors of
+    the per-draw difference, which leave out the draw-to-draw spread both
+    share."""
     rng = np.random.default_rng(seed)
     d = 2
     model = GaussianMeanLocation(d)
@@ -129,44 +135,14 @@ def _sfd_fd_instance(T, L, seed):
     recon = build_measure(Z, rng.standard_normal(4))
     draws = exact_gaussian_mean_draws(X, T, seed=seed + 1)
     slices = rng.standard_normal((T, L, d))
+    coef = PosteriorCoefficients(model, draws.draws)
     Phi = recon.weights @ model.phi(recon.points)
-    return model, draws, recon, Phi, slices
-
-
-def check_sfd_fd_agreement(T: int = 100, L: int = 10_000,
-                           seed: int = 20240819) -> CheckResult:
-    """Statistical identity: the sliced objective converges to the trace-form
-    objective as the slice count grows; tested at 3 combined MC errors."""
-    model, draws, recon, Phi, slices = _sfd_fd_instance(T, L, seed)
-    sfd = sfd_objective(model, draws, slices, recon)
-    fd = fd_ibp_objective(model, draws, recon)
-    # slice-MC error of the quadratic-form term v^T H_t v, on top of the
-    # shared draws; H_t = P_t + sum_k Phi_k B_tk is the pseudo-posterior Hessian
-    coef = PosteriorCoefficients(model, draws.draws)
-    H = coef.prior_hess + np.einsum("tkij,k->tij", coef.B, Phi)
-    quads = np.einsum("tij,tli,tlj->tl", H, slices, slices)
-    se_slice = float(np.std(quads.mean(axis=0), ddof=1) / np.sqrt(L))
-    se = np.sqrt(se_slice**2 + sfd.std_error**2 + fd.std_error**2)
-    gap = abs(sfd.value - fd.value)
-    return CheckResult("sfd_matches_fd_ibp", gap <= 3 * se,
-                       f"gap {gap:.3e} vs 3*se {3 * se:.3e}")
-
-
-def check_sfd_fd_agreement_paired(T: int = 100, L: int = 10_000,
-                                  seed: int = 20240819) -> CheckResult:
-    """The sfd/fd agreement on the attack's objective path, within 3 paired
-    standard errors. Per draw the two objectives differ only by
-    <H_t, V_t - I>, whose slice expectation is zero, so the error of the
-    mean difference excludes the draw-to-draw spread both share."""
-    model, draws, recon, Phi, slices = _sfd_fd_instance(T, L, seed)
-    sfd = objective_value("sfd", model, recon, draws=draws, slices=slices)
-    fd = objective_value("fd", model, recon, draws=draws)
-    coef = PosteriorCoefficients(model, draws.draws)
-    diff = coef.per_draw(Phi, slices)[0] - coef.per_draw(Phi)[0]
-    se = float(np.std(diff, ddof=1) / np.sqrt(T))
-    gap = abs(sfd - fd)
-    return CheckResult("sfd_matches_fd_ibp_paired", gap <= 3 * se,
-                       f"gap {gap:.3e} vs 3*paired se {3 * se:.3e}")
+    paired = _estimate(coef.per_draw(Phi, slices)[0] - coef.per_draw(Phi)[0], False)
+    attack = (objective_value("sfd", model, recon, draws=draws, slices=slices)
+              - objective_value("fd", model, recon, draws=draws))
+    gap = max(abs(paired.value), abs(attack))
+    return CheckResult("sfd_matches_fd_ibp", gap <= 3 * paired.std_error,
+                       f"gap {gap:.3e} vs 3*paired se {3 * paired.std_error:.3e}")
 
 
 def check_sfd_axis_slices(n_draws: int = 100, tol: float = 1e-12,
@@ -178,9 +154,8 @@ def check_sfd_axis_slices(n_draws: int = 100, tol: float = 1e-12,
     for model in (GaussianMeanLocation(2), BayesLinReg.identity_with_intercept(1),
                   KidScoreModel()):
         d = model.param_dim
-        thetas = rng.standard_normal((n_draws, d))
-        draws = PosteriorDraws(thetas[model.in_domain(thetas)])
-        recon = build_measure(rng.standard_normal((5, model.layout.p)), rng.standard_normal(5))
+        thetas, recon = _statistic_space_instance(model, rng, T=n_draws)
+        draws = PosteriorDraws(thetas)
         slices = np.broadcast_to(np.sqrt(d) * np.eye(d), (draws.T, d, d))
         sfd = sfd_objective(model, draws, slices, recon).value
         fd = fd_ibp_objective(model, draws, recon).value
@@ -220,10 +195,12 @@ def check_sfd_slice_table(n_instances: int = 5, L: int = 3, tol: float = 1e-12,
                        f"max rel err {worst:.3e} (tol {tol:g})")
 
 
-def _ibp_instance(T, seed):
-    """One-dimensional Gaussian-mean data, a weighted recon measure, exact
-    posterior draws and the target-data posterior score at each draw (the
-    oracle constant is half its mean square)."""
+def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
+    """The target-free objective plus the oracle constant (half the mean
+    squared target score over the same draws) matches the direct divergence
+    on the attack's path and on the per-draw one, within 3 standard errors
+    of the per-draw difference of the two sides; and the direct divergence
+    matches the closed-form Gaussian-moment value within 3 SE."""
     rng = np.random.default_rng(seed)
     model = GaussianMeanLocation(1)
     X = rng.standard_normal((5, 1))
@@ -232,30 +209,22 @@ def _ibp_instance(T, seed):
     w = rng.standard_normal(3)
     recon = build_measure(Z, w)
     draws = exact_gaussian_mean_draws(X, T, seed=seed + 1)
-    thetas = draws.draws
-    S_target = model.prior_score_batch(thetas) + np.einsum(
-        "m,tmd->td", target.weights, model.score_batch(thetas, target.points))
-    return model, target, recon, draws, S_target
-
-
-def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
-    """The target-free objective plus the oracle constant (half the mean
-    squared target score over the same draws) matches the direct divergence,
-    and both match the closed-form Gaussian-moment value, within 3 SE."""
-    model, target, recon, draws, S_target = _ibp_instance(T, seed)
-    fd = fd_direct(model, draws, target, recon)
-    ibp = fd_ibp_objective(model, draws, recon)
+    S_target = model.prior_score_batch(draws.draws) + np.einsum(
+        "m,tmd->td", target.weights, model.score_batch(draws.draws, target.points))
     c_per_draw = 0.5 * np.sum(S_target**2, axis=1)
     c_oracle = float(np.mean(c_per_draw))
-    c_se = float(np.std(c_per_draw, ddof=1) / np.sqrt(T))
 
-    se = np.sqrt(fd.std_error**2 + ibp.std_error**2 + c_se**2)
-    gap = abs(ibp.value + c_oracle - fd.value)
-    ok1 = gap <= 3 * se
+    fd = fd_direct(model, draws, target, recon)
+    coef = PosteriorCoefficients(model, draws.draws)
+    ibp, _, S_recon = coef.per_draw(recon.weights @ model.phi(recon.points))
+    paired = _estimate(ibp + c_per_draw - 0.5 * np.sum((S_target - S_recon) ** 2, axis=1),
+                       False)
+    attack = objective_value("fd", model, recon, draws=draws) + c_oracle - fd.value
+    gap = max(abs(paired.value), abs(attack))
+    ok1 = gap <= 3 * paired.std_error
 
     # closed form under the conjugate posterior N(mu, s2): the score gap is
     # (sum x - sum w z) - (N - S_w) * theta, an affine function of theta
-    X, Z, w = target.points, recon.points, recon.weights
     N = len(X)
     mu = float(X.sum() / (N + 1))
     s2 = 1.0 / (N + 1)
@@ -263,27 +232,10 @@ def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
     b = float(N - w.sum())
     fd_closed = 0.5 * ((a - b * mu) ** 2 + b**2 * s2)
     ok2 = abs(fd.value - fd_closed) <= 3 * fd.std_error
-    detail = (f"ibp+C vs fd gap {gap:.3e} (3*se {3 * se:.3e}); "
+    detail = (f"ibp+C vs fd gap {gap:.3e} (3*paired se {3 * paired.std_error:.3e}); "
               f"fd vs closed form gap {abs(fd.value - fd_closed):.3e} "
               f"(3*se {3 * fd.std_error:.3e})")
     return CheckResult("ibp_constant_consistency", ok1 and ok2, detail)
-
-
-def check_ibp_constant_paired(T: int = 100_000, seed: int = 20240820) -> CheckResult:
-    """The attack's fd objective plus the oracle constant matches the direct
-    divergence within 3 paired standard errors: those of the per-draw
-    difference of the two sides over the same draws."""
-    model, target, recon, draws, S_target = _ibp_instance(T, seed)
-    fd = fd_direct(model, draws, target, recon)
-    ibp = objective_value("fd", model, recon, draws=draws)
-    c_per_draw = 0.5 * np.sum(S_target**2, axis=1)
-    coef = PosteriorCoefficients(model, draws.draws)
-    ibp_per_draw, _, S_recon = coef.per_draw(recon.weights @ model.phi(recon.points))
-    diff = ibp_per_draw + c_per_draw - 0.5 * np.sum((S_target - S_recon) ** 2, axis=1)
-    se = float(np.std(diff, ddof=1) / np.sqrt(T))
-    gap = abs(ibp + float(np.mean(c_per_draw)) - fd.value)
-    return CheckResult("ibp_constant_consistency_paired", gap <= 3 * se,
-                       f"ibp+C vs fd gap {gap:.3e} (3*paired se {3 * se:.3e})")
 
 
 def _audit_models(rng):
@@ -385,11 +337,9 @@ ALL_CHECKS = (
     check_fd_mmd_identity,
     check_nonbayes_identity,
     check_sfd_fd_agreement,
-    check_sfd_fd_agreement_paired,
     check_sfd_axis_slices,
     check_sfd_slice_table,
     check_ibp_constant,
-    check_ibp_constant_paired,
     check_fd_audits,
     check_objective_gradients,
     check_norm_growth,

@@ -41,12 +41,12 @@ class TestAcceptance:
 
     def test_03_sfd_matches_fd(self):
         res = check_sfd_fd_agreement(T=100, L=10_000)
-        _report("criterion 3 (sliced vs trace objective, T=100, L=1e4, 3 SE)",
+        _report("criterion 3 (sliced vs trace objective, T=100, L=1e4, 3 paired SE)",
                 res.passed, res.detail)
 
     def test_04_ibp_constant_consistency(self):
         res = check_ibp_constant(T=100_000)
-        _report("criterion 4 (ibp + oracle constant vs direct & closed form, 3 SE)",
+        _report("criterion 4 (ibp + oracle constant vs direct, 3 paired SE, & closed form, 3 SE)",
                 res.passed, res.detail)
 
     @pytest.mark.slow

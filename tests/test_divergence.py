@@ -20,6 +20,7 @@ from datarecon.models import (
     SquaredErrorLoss,
 )
 from datarecon.samplers import exact_gaussian_mean_draws
+from datarecon.verification import check_ibp_constant, check_sfd_fd_agreement
 
 
 def _weighted_posterior_score(model, measure, theta):
@@ -266,3 +267,25 @@ class TestNormGrowth:
         X = rng.standard_normal((10, 2)) + 1.0
         norms = [float(np.trace(kernel.gram(X[:n], X[:n]))) for n in range(1, 11)]
         assert np.all(np.diff(norms) > 0)
+
+
+class TestCriteriaReach:
+    """A 3% error in the curvature coefficients on either objective path, the
+    attack's (``mean_curvature``) or the per-draw one (``curvature``), fails
+    the criterion that checks its form: 3 for slices, 4 for the trace."""
+
+    @pytest.mark.parametrize("method", ["mean_curvature", "curvature"],
+                             ids=["attack", "per_draw"])
+    @pytest.mark.parametrize("sliced", [True, False], ids=["sliced", "trace"])
+    def test_scaled_curvature_fails_its_criterion(self, monkeypatch, method, sliced):
+        original = getattr(PosteriorCoefficients, method)
+
+        def scaled(self, slices=None):
+            c, c_prior = original(self, slices)
+            if (slices is None) != sliced:
+                return 1.03 * c, 1.03 * c_prior
+            return c, c_prior
+
+        monkeypatch.setattr(PosteriorCoefficients, method, scaled)
+        check = check_sfd_fd_agreement if sliced else check_ibp_constant
+        assert not check().passed
