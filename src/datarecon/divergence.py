@@ -78,69 +78,71 @@ def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> Di
     return _estimate(per_draw, constant_note=False)
 
 
+def _append_prior(coef, prior, axis):
+    """``coef`` with the prior block appended as the last feature along
+    ``axis``. Blocks that are both fixed over the draws (broadcast along the
+    draw axis, as a Gaussian linear model's Hessian and a Gaussian prior's
+    are) give a broadcast result too, so a fixed B is not held T times."""
+    if coef.strides[0] == prior.strides[0] == 0:
+        row = np.concatenate([coef[:1], prior[:1]], axis)
+        return np.broadcast_to(row, (len(coef),) + row.shape[1:])
+    return np.concatenate([coef, prior], axis)
+
+
 class PosteriorCoefficients:
     """Per-draw coefficients of the weighted pseudo-posterior in feature space.
 
     For a measure with feature sums Phi = sum_m w_m phi(z_m), the weighted
-    pseudo-posterior at draw t has score S_t = p_t + A_t Phi (p_t the prior
-    score) and Hessian P_t + sum_k Phi_k B_tk (P_t the prior Hessian). The
-    draw average of |S_t|^2 / 2 is therefore the quadratic
-    Phi^T G Phi / 2 + h . Phi + mean_t |p_t|^2 / 2 with G = mean_t A_t^T A_t
-    and h = mean_t A_t^T p_t, computed once per draw set together with the
-    trace (fd) curvature, so an fd evaluation costs O(K^2) whatever T is.
+    pseudo-posterior has log density log pi(theta) + a(theta) . Phi: the
+    prior is feature K+1, held at weight 1. With Phi1 = (Phi, 1), its score
+    at draw t is S_t = A_t Phi1 and its Hessian sum_k Phi1_k B_tk, where
+    A (T, d, K+1) and B (T, K+1, d, d) end with the prior score and Hessian.
+    The draw average of |S_t|^2 / 2 is therefore Phi1^T G Phi1 / 2 with
+    G = mean_t A_t^T A_t, computed once per draw set together with the trace
+    (fd) curvature, so an fd evaluation costs O(K^2) whatever T is.
     """
 
     def __init__(self, model, thetas):
         thetas = model.check_draws(thetas)
-        self.A = model.score_coef(thetas)                        # (T, d, K)
-        self.B = model.hess_coef(thetas)                         # (T, K, d, d)
-        self.prior_score = model.prior_score_batch(thetas)       # (T, d)
-        self.prior_hess = model.prior_hess_batch(thetas)         # (T, d, d)
+        self.A = _append_prior(model.score_coef(thetas),
+                               model.prior_score_batch(thetas)[:, :, None], axis=2)
+        self.B = _append_prior(model.hess_coef(thetas),
+                               model.prior_hess_batch(thetas)[:, None], axis=1)
         self.trace_c = np.einsum("tkii->tk", self.B)
-        self.trace_prior = np.einsum("tii->t", self.prior_hess)
-        T, d, K = self.A.shape
-        A = self.A.reshape(T * d, K)
+        T, d, K1 = self.A.shape
+        A = self.A.reshape(T * d, K1)
         self.G = A.T @ A / T
-        self.h = self.prior_score.ravel() @ A / T
-        self.half_prior_sq = 0.5 * float(np.sum(self.prior_score**2)) / T
         self.c_bar = self.trace_c.mean(axis=0)
-        self.c_prior_bar = float(self.trace_prior.mean())
         self._slice_table = None
-
-    @property
-    def T(self) -> int:
-        return len(self.A)
 
     def _check_slices(self, slices) -> np.ndarray:
         slices = np.asarray(slices, dtype=float)
-        T, d = self.prior_score.shape
+        T, d = self.A.shape[:2]
         if slices.ndim != 3 or slices.shape[0] != T or slices.shape[1] < 1 or slices.shape[2] != d:
             raise ValueError(f"slices must have shape (T={T}, L>=1, d={d}), got {slices.shape}")
         return slices
 
     def curvature(self, slices=None):
-        """Curvature coefficients c (T, K) and the prior's curvature (T,):
-        <B_tk, V_t> and <P_t, V_t> with V_t = I (trace form) or, for slices
-        of shape (T, L, d) with L >= 1, the slice average of v v^T. Slices
-        of any other shape raise ``ValueError``."""
+        """Curvature coefficients c (T, K+1), <B_tk, V_t> with V_t = I (trace
+        form) or, for slices of shape (T, L, d) with L >= 1, the slice
+        average of v v^T. Slices of any other shape raise ``ValueError``."""
         if slices is None:
-            return self.trace_c, self.trace_prior
+            return self.trace_c
         slices = self._check_slices(slices)
         V = slices.transpose(0, 2, 1) @ slices / slices.shape[1]
-        return (np.einsum("tkij,tij->tk", self.B, V),
-                np.einsum("tij,tij->t", self.prior_hess, V))
+        return np.einsum("tkij,tij->tk", self.B, V)
 
     def mean_curvature(self, slices=None):
-        """The draw averages of ``curvature(slices)``: c-bar (K,) and the
-        prior's (scalar). ``slices`` may also be their ``SliceMoments``.
+        """The draw average of ``curvature(slices)``, c-bar (K+1,).
+        ``slices`` may also be their ``SliceMoments``.
 
         Each V_t enters through its d(d+1)/2 distinct entries, contracted in
-        one matrix-vector product with a table of the matching entries of B
-        and P, off-diagonal ones doubled. The table is built at the first
-        sliced call only, so the trace form never holds it."""
+        one matrix-vector product with a table of the matching entries of B,
+        off-diagonal ones doubled. The table is built at the first sliced
+        call only, so the trace form never holds it."""
         if slices is None:
-            return self.c_bar, self.c_prior_bar
-        T, d = self.prior_score.shape
+            return self.c_bar
+        T, d = self.A.shape[:2]
         if isinstance(slices, SliceMoments):
             if slices.sums.shape != (d * (d + 1) // 2, T):
                 raise ValueError(f"slice moments must have shape (d(d+1)/2, T={T}) with "
@@ -150,30 +152,28 @@ class PosteriorCoefficients:
             moments = SliceMoments.of(self._check_slices(slices))
         if self._slice_table is None:
             I, J = np.triu_indices(d)
-            table = np.concatenate([self.B[:, :, I, J], self.prior_hess[:, None, I, J]],
-                                   axis=1)                       # (T, K + 1, pairs)
-            table = table.transpose(2, 0, 1) * np.where(I == J, 1.0, 2.0)[:, None, None]
-            self._slice_table = table.reshape(-1, table.shape[2])
-        c = moments.sums.ravel() @ self._slice_table / (T * moments.L)
-        return c[:-1], float(c[-1])
+            table = self.B[:, :, I, J].transpose(2, 0, 1) * np.where(I == J, 1.0, 2.0)[:, None, None]
+            self._slice_table = table.reshape(-1, table.shape[2])  # (pairs * T, K + 1)
+        # V_t = sums / L first: sums times the table could overflow at L near float max
+        return (moments.sums / moments.L).ravel() @ self._slice_table / T
 
     def per_draw(self, Phi, slices=None):
-        """Per-draw objective <P_t, V_t> + c_t . Phi + |S_t|^2 / 2, with the
-        curvature coefficients c and the weighted scores S it used."""
-        c, c_prior = self.curvature(slices)
-        S = self.prior_score + self.A @ Phi
-        return c_prior + c @ Phi + 0.5 * np.sum(S**2, axis=1), c, S
+        """Per-draw objective c_t . Phi1 + |S_t|^2 / 2, with the curvature
+        coefficients c and the weighted scores S it used."""
+        c = self.curvature(slices)
+        Phi1 = np.concatenate((Phi, (1.0,)))
+        S = self.A @ Phi1
+        return c @ Phi1 + 0.5 * np.sum(S**2, axis=1), c, S
 
     def value_and_grad(self, Phi, slices=None):
         """The draw-averaged objective at feature sums Phi and its gradient
-        in Phi, from the precomputed quadratic: the value
-        c_prior + |p|^2 / 2 + (c + h) . Phi + Phi^T G Phi / 2 and the
-        gradient c + h + G Phi, with c and c_prior the mean curvature."""
-        c, c_prior = self.mean_curvature(slices)
-        lin = c + self.h
-        G_Phi = self.G @ Phi
-        value = c_prior + self.half_prior_sq + lin @ Phi + 0.5 * (Phi @ G_Phi)
-        return float(value), lin + G_Phi
+        in Phi, from the precomputed quadratic: with c the mean curvature,
+        the value c . Phi1 + Phi1^T G Phi1 / 2 and the gradient
+        (c + G Phi1)[:K]."""
+        c = self.mean_curvature(slices)
+        Phi1 = np.concatenate((Phi, (1.0,)))
+        G_Phi1 = self.G @ Phi1
+        return float(c @ Phi1 + 0.5 * (Phi1 @ G_Phi1)), (c + G_Phi1)[:-1]
 
 
 def fd_ibp_objective(model, draws: PosteriorDraws, recon_measure) -> DivergenceEstimate:

@@ -442,15 +442,6 @@ class LossModel:
     def reg_grad(self, theta) -> np.ndarray:
         return 2.0 * self.ridge * np.asarray(theta, dtype=float)
 
-    def loss_terms(self, theta, x) -> dict:
-        theta = np.asarray(theta, dtype=float).ravel()
-        pts = np.atleast_2d(x)
-        return {
-            "value": float(self.loss_batch(theta, pts)[0]),
-            "grad_theta": self.grad_theta_batch(theta, pts)[0],
-            "jac_data": self.grad_and_jac_batch(theta, pts)[1][0],
-        }
-
     def predict_mean(self, theta, x_part):
         return np.zeros(len(np.atleast_2d(x_part)))
 
@@ -611,14 +602,14 @@ def _audit_likelihood(model, theta, x, h_scale, checks):
 
 def _audit_loss(model, theta, x, h_scale, checks):
     hs_t = _steps(theta, h_scale)
-    terms = model.loss_terms(theta, x)
 
-    num = _central(lambda t: model.loss_terms(t, x)["value"], theta, hs_t)
-    checks["grad_theta"] = _rel_err(terms["grad_theta"], num)
+    def grad(z):
+        return model.grad_theta_batch(theta, z[None, :])[0]
+
+    num = _central(lambda t: model.loss_batch(t, x[None, :])[0], theta, hs_t)
+    checks["grad_theta"] = _rel_err(grad(x), num)
     num = _central(model.reg_value, theta, hs_t)
     checks["reg_grad"] = _rel_err(model.reg_grad(theta), num)
 
-    hs_x = _steps(x, h_scale)
-    jac_num = _central(lambda z: model.loss_terms(theta, z)["grad_theta"], x, hs_x,
-                       model.layout.free_idx)
-    checks["jac_data"] = _rel_err(terms["jac_data"], jac_num)
+    jac_num = _central(grad, x, _steps(x, h_scale), model.layout.free_idx)
+    checks["jac_data"] = _rel_err(model.grad_and_jac_batch(theta, x[None, :])[1][0], jac_num)

@@ -123,14 +123,10 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     return PosteriorDraws(kept, source="rwm", acceptance_rate=accepted / n_steps)
 
 
-def save_draws(path, draws: PosteriorDraws, names=None) -> None:
-    """Write draws to CSV at full float64 precision (17 significant digits)."""
-    d = draws.dim
-    if names is None:
-        names = draws.names or tuple(f"theta{i}" for i in range(d))
-    if len(names) != d:
-        raise ValueError("column names must match the draw dimension")
-    write_rows(path, names, draws.draws)
+def save_draws(path, draws: PosteriorDraws) -> None:
+    """Write draws to CSV at full float64 precision (17 significant digits),
+    under ``draws.names`` or, without them, theta0, theta1, ..."""
+    write_rows(path, draws.names or tuple(f"theta{i}" for i in range(draws.dim)), draws.draws)
 
 
 def load_draws(path) -> PosteriorDraws:

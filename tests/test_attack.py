@@ -13,7 +13,7 @@ from datarecon.attack import (
     objective_value,
     run_attack,
 )
-from datarecon.divergence import PosteriorCoefficients, SliceMoments
+from datarecon.divergence import PosteriorCoefficients, PosteriorDraws, SliceMoments
 from datarecon.measures import build_measure
 from datarecon.models import (
     BayesLinReg,
@@ -194,8 +194,10 @@ class TestPrecomputedQuadratic:
     def test_coefficients_match_per_draw_definitions(self, name, model):
         rng = np.random.default_rng(list((name + "quadratic").encode()))
         thetas, _ = _statistic_space_instance(model, rng)
+        # the prior is feature K+1: G's last row and column and c-bar's last
+        # entry hold the prior terms
         coef = PosteriorCoefficients(model, thetas)
-        T, K = len(thetas), coef.A.shape[2]
+        T, K = len(thetas), coef.A.shape[2] - 1
         A, p = model.score_coef(thetas), model.prior_score_batch(thetas)
         B, P = model.hess_coef(thetas), model.prior_hess_batch(thetas)
         G = sum(A[t].T @ A[t] for t in range(T)) / T
@@ -203,11 +205,12 @@ class TestPrecomputedQuadratic:
         half_prior_sq = sum(p[t] @ p[t] for t in range(T)) / (2 * T)
         c_bar = np.array([sum(np.trace(B[t, k]) for t in range(T)) for k in range(K)]) / T
         c_prior_bar = sum(np.trace(P[t]) for t in range(T)) / T
-        assert _max_rel(coef.G, G) <= 1e-12
-        assert _max_rel(coef.h, h) <= 1e-12
-        assert _max_rel(coef.half_prior_sq, half_prior_sq) <= 1e-12
-        assert _max_rel(coef.c_bar, c_bar) <= 1e-12
-        assert _max_rel(coef.c_prior_bar, c_prior_bar) <= 1e-12
+        assert coef.G.shape == (K + 1, K + 1) and coef.c_bar.shape == (K + 1,)
+        assert _max_rel(coef.G[:K, :K], G) <= 1e-12
+        assert _max_rel(coef.G[:K, K], h) <= 1e-12
+        assert _max_rel(coef.G[K, K] / 2, half_prior_sq) <= 1e-12
+        assert _max_rel(coef.c_bar[:K], c_bar) <= 1e-12
+        assert _max_rel(coef.c_bar[K], c_prior_bar) <= 1e-12
 
     @pytest.mark.parametrize("L", [None, 4, 1], ids=["fd", "sfd", "sfd_L1"])
     @pytest.mark.parametrize("name,model", STATISTIC_SPACE_MODELS,
@@ -222,7 +225,7 @@ class TestPrecomputedQuadratic:
                                                                  model.param_dim))
             value, g = coef.value_and_grad(Phi, slices)
             per_draw, c, S = coef.per_draw(Phi, slices)
-            ref_g = np.mean(c + np.einsum("tdk,td->tk", coef.A, S), axis=0)
+            ref_g = np.mean(c + np.einsum("tdk,td->tk", coef.A, S), axis=0)[:-1]
             assert abs(value - per_draw.mean()) <= 1e-12 * abs(per_draw.mean())
             assert _max_rel(g, ref_g) <= 1e-12
 
@@ -370,15 +373,27 @@ class TestSliceMoments:
         np.testing.assert_allclose(moments.sums.mean(axis=1) / 10**9, [1.0, 0.0, 1.0],
                                    atol=1e-3)
 
+    @pytest.mark.parametrize("model", [GaussianMeanLocation(2), KidScoreModel()],
+                             ids=["gaussian_mean", "kidscore"])
+    def test_slice_count_near_float_max_matches_fd(self, model):
+        # an integer L just inside float range: V_t = sums / L is I to
+        # rounding, so the sliced objective is the trace form
+        rng = np.random.default_rng(6)
+        thetas, meas = _statistic_space_instance(model, rng)
+        draws = PosteriorDraws(thetas)
+        slices = draw_slices(rng, draws.T, 10**308, model.param_dim)
+        sfd = objective_value("sfd", model, meas, draws=draws, slices=slices)
+        fd = objective_value("fd", model, meas, draws=draws)
+        assert abs(sfd - fd) <= 1e-12 * abs(fd)
+
     def test_moments_and_raw_slices_give_the_same_curvature(self):
         rng = np.random.default_rng(5)
         model = KidScoreModel()
         thetas = np.column_stack([rng.standard_normal((30, 2)), 0.5 + rng.random(30)])
         coef = PosteriorCoefficients(model, thetas)
         slices = rng.standard_normal((30, 4, 3))
-        for raw, moments in zip(coef.mean_curvature(slices),
-                                coef.mean_curvature(SliceMoments.of(slices))):
-            np.testing.assert_array_equal(raw, moments)
+        np.testing.assert_array_equal(coef.mean_curvature(slices),
+                                      coef.mean_curvature(SliceMoments.of(slices)))
         with pytest.raises(ValueError, match="slice moments must have shape"):
             coef.mean_curvature(SliceMoments(np.zeros((6, 29)), 4))
 

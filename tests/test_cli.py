@@ -129,6 +129,16 @@ class TestAttackCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["attack"]["L"] == 10**9
 
+    def test_slice_count_near_float_max_runs(self, runner, tmp_path):
+        # an integer L just inside float range is divided out of the pair
+        # sums before they meet the Hessian table, so nothing overflows
+        _, data_path = _gaussian_dataset(tmp_path, seed=6)
+        cfg_dict = self._attack_cfg(tmp_path, data_path)
+        cfg_dict["attack"]["L"] = 10**308
+        result = runner.invoke(main, ["attack", "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 0, result.output
+
     def test_summary_reports_status_draws_and_wall_times(self, runner, tmp_path):
         _, data_path = _gaussian_dataset(tmp_path, seed=10, d=1)
         cfg_dict = self._attack_cfg(tmp_path, data_path)
@@ -299,6 +309,52 @@ class TestReportCommand:
             assert "Traceback" not in result.output
             lines = result.output.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _with_blank_line(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:2] + [""] + lines[2:]) + "\n"
+
+
+# (case, layout edit, data CSV edit, measure CSV edit, expected error text);
+# no error text: the edited inputs report exactly what the unedited ones do
+BAD_REPORT_INPUTS = [
+    ("y_idx_in_x_idx", {"y_idx": 1}, None, None, "y_idx cannot also appear in x_idx"),
+    ("names_wrong_length", {"names": ["a"]}, None, None, "names must have length p"),
+    ("measure_first_column_not_weight", {}, None, lambda t: t.replace("weight", "mass", 1),
+     "first column must be 'weight'"),
+    ("data_header_without_rows", {}, lambda t: t.splitlines()[0] + "\n", None, "no data rows"),
+    ("data_blank_line_between_rows", {}, _with_blank_line, None, None),
+]
+
+
+class TestReportInputErrors:
+    @pytest.mark.parametrize("case,layout,edit_data,edit_measure,message", BAD_REPORT_INPUTS,
+                             ids=[c[0] for c in BAD_REPORT_INPUTS])
+    def test_bad_input_is_one_line_error_with_exit_2(self, runner, tmp_path, case, layout,
+                                                     edit_data, edit_measure, message):
+        X, data_path = _gaussian_dataset(tmp_path, seed=13, n=4)
+        measure_path = tmp_path / "measure.csv"
+        save_measure(measure_path, build_measure(X[:3], np.full(3, 1.5)), Layout(p=2, x_idx=(0, 1)))
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps({"p": 2, "x_idx": [0, 1]}))
+        args = ["report", "--measure", str(measure_path), "--data", data_path,
+                "--layout", str(layout_path)]
+        clean = runner.invoke(main, args)
+        assert clean.exit_code == 0, clean.output
+
+        layout_path.write_text(json.dumps({"p": 2, "x_idx": [0, 1], **layout}))
+        for path, edit in ((Path(data_path), edit_data), (measure_path, edit_measure)):
+            if edit is not None:
+                path.write_text(edit(path.read_text()))
+        result = runner.invoke(main, args)
+        if message is None:
+            assert result.exit_code == 0, result.output
+            assert result.output == clean.output
+            return
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
 def _bayes_cfg(tmp_path, data_path):

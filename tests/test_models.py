@@ -177,19 +177,19 @@ class TestLossModels:
     def test_squared_error_zero_residual(self):
         m = SquaredErrorLoss(IdentityFeatures(1), Layout(p=2, x_idx=(0,), y_idx=1))
         np.testing.assert_array_equal(
-            m.loss_terms([1.0], [1.0, 1.0])["grad_theta"], [0.0])
+            m.grad_theta_batch([1.0], [[1.0, 1.0]])[0], [0.0])
 
     def test_squared_error_gradient(self):
         m = SquaredErrorLoss(IdentityFeatures(1), Layout(p=2, x_idx=(0,), y_idx=1))
         np.testing.assert_array_equal(
-            m.loss_terms([0.0], [2.0, 1.0])["grad_theta"], [-4.0])
+            m.grad_theta_batch([0.0], [[2.0, 1.0]])[0], [-4.0])
 
     def test_logistic_gradient_at_zero(self):
         m = LogisticLoss(2)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(2)
         for y in (-1.0, 1.0):
-            g = m.loss_terms([0.0, 0.0], [*x, y])["grad_theta"]
+            g = m.grad_theta_batch([0.0, 0.0], [[*x, y]])[0]
             np.testing.assert_allclose(g, -y * x / 2, rtol=1e-14)
 
     def test_ridge_regularizer(self):
@@ -290,8 +290,8 @@ class TestFiniteDifferenceAudit:
             thetas = np.array([_random_point(model, rng)[0] for _ in range(5)])
             coef = PosteriorCoefficients(model, thetas)
             slices = np.broadcast_to(np.sqrt(d) * np.eye(d), (5, d, d))
-            for total, trace in zip(coef.curvature(slices), coef.curvature()):
-                assert np.all(np.abs(total - trace) <= 1e-10 * np.maximum(1.0, np.abs(trace)))
+            total, trace = coef.curvature(slices), coef.curvature()
+            assert np.all(np.abs(total - trace) <= 1e-10 * np.maximum(1.0, np.abs(trace)))
 
     @pytest.mark.parametrize("method,check", [
         ("score_batch", "score_theta"),
@@ -319,10 +319,11 @@ def _layout_points(model, n, rng):
 
 
 def _release_gram(model, rng, T=40):
-    """G = mean_t A_t^T A_t over random draws: the directions in feature-sum
-    space that the posterior scores see."""
+    """G = mean_t A_t^T A_t over random draws of the likelihood block A of
+    the scores: the directions in feature-sum space that the posterior
+    scores see."""
     thetas = np.array([_random_point(model, rng)[0] for _ in range(T)])
-    A = PosteriorCoefficients(model, thetas).A
+    A = model.score_coef(thetas)
     return np.einsum("tdk,tdl->kl", A, A) / T
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from datarecon.divergence import PosteriorDraws
 from datarecon.models import BayesLinReg, GaussianMeanLocation, KidScoreModel
 from datarecon.samplers import (
     RWM_BLOCK,
@@ -205,7 +206,7 @@ class TestDrawsIo:
         rng = np.random.default_rng(13)
         draws = exact_gaussian_mean_draws(rng.standard_normal((4, 2)), 25, seed=14)
         path = tmp_path / "draws.csv"
-        save_draws(path, draws, names=("a", "b"))
+        save_draws(path, PosteriorDraws(draws.draws, names=("a", "b")))
         loaded = load_draws(path)
         assert np.array_equal(loaded.draws, draws.draws)
         assert loaded.names == ("a", "b")
