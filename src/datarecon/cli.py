@@ -244,6 +244,8 @@ def attack(config_path):
         check_model_fits(acfg.objective, model)
     except ValueError as exc:
         raise ValueError(f"attack.{exc}") from None
+    if theta_star is not None:
+        theta_star = _vector("attack", cfg["attack"], "theta_star", model.param_dim)
 
     wall = {"sample": None}
     draws = data = None
@@ -253,8 +255,6 @@ def attack(config_path):
         wall["sample"] = time.perf_counter() - t0
     elif theta_star is None:
         raise ValueError("attack.theta_star is required for the nonbayes objective")
-    else:
-        theta_star = _vector("attack", cfg["attack"], "theta_star", model.param_dim)
 
     target_points = None
     if trace_target:

@@ -1,9 +1,8 @@
 """Score-matching divergences and the model-induced MMD kernels.
 
 The attacker-facing objectives (integration-by-parts and sliced forms) drop
-the additive constant that does not depend on the reconstruction; the flag
-``constant_note`` on the returned estimate records this. ``fd_direct`` needs
-the target measure and is a test-side oracle only.
+the additive constant that does not depend on the reconstruction.
+``fd_direct`` needs the target measure and is a test-side oracle only.
 """
 
 from __future__ import annotations
@@ -56,14 +55,12 @@ class SliceMoments:
 class DivergenceEstimate:
     value: float
     std_error: float
-    # True when the additive data-independent constant has been dropped
-    constant_note: bool = False
 
 
-def _estimate(per_draw: np.ndarray, constant_note: bool) -> DivergenceEstimate:
+def _estimate(per_draw: np.ndarray) -> DivergenceEstimate:
     T = len(per_draw)
     se = float(np.std(per_draw, ddof=1) / np.sqrt(T)) if T > 1 else 0.0
-    return DivergenceEstimate(float(np.mean(per_draw)), se, constant_note)
+    return DivergenceEstimate(float(np.mean(per_draw)), se)
 
 
 def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> DivergenceEstimate:
@@ -75,18 +72,7 @@ def fd_direct(model, draws: PosteriorDraws, target_measure, recon_measure) -> Di
     s_target, s_recon = (np.einsum("m,tmd->td", m.weights, model.score_batch(thetas, m.points))
                          for m in (target_measure, recon_measure))
     per_draw = 0.5 * np.sum((s_target - s_recon) ** 2, axis=1)
-    return _estimate(per_draw, constant_note=False)
-
-
-def _append_prior(coef, prior, axis):
-    """``coef`` with the prior block appended as the last feature along
-    ``axis``. Blocks that are both fixed over the draws (broadcast along the
-    draw axis, as a Gaussian linear model's Hessian and a Gaussian prior's
-    are) give a broadcast result too, so a fixed B is not held T times."""
-    if coef.strides[0] == prior.strides[0] == 0:
-        row = np.concatenate([coef[:1], prior[:1]], axis)
-        return np.broadcast_to(row, (len(coef),) + row.shape[1:])
-    return np.concatenate([coef, prior], axis)
+    return _estimate(per_draw)
 
 
 class PosteriorCoefficients:
@@ -96,7 +82,9 @@ class PosteriorCoefficients:
     pseudo-posterior has log density log pi(theta) + a(theta) . Phi: the
     prior is feature K+1, held at weight 1. With Phi1 = (Phi, 1), its score
     at draw t is S_t = A_t Phi1 and its Hessian sum_k Phi1_k B_tk, where
-    A (T, d, K+1) and B (T, K+1, d, d) end with the prior score and Hessian.
+    A (T, d, K+1) and B (T, K+1, d, d) are the model's ``score_coef`` and
+    ``hess_coef``, which end with the prior score and Hessian. A B that is
+    fixed over the draws stays the model's broadcast view.
     The draw average of |S_t|^2 / 2 is therefore Phi1^T G Phi1 / 2 with
     G = mean_t A_t^T A_t, computed once per draw set together with the trace
     (fd) curvature, so an fd evaluation costs O(K^2) whatever T is.
@@ -104,10 +92,8 @@ class PosteriorCoefficients:
 
     def __init__(self, model, thetas):
         thetas = model.check_draws(thetas)
-        self.A = _append_prior(model.score_coef(thetas),
-                               model.prior_score_batch(thetas)[:, :, None], axis=2)
-        self.B = _append_prior(model.hess_coef(thetas),
-                               model.prior_hess_batch(thetas)[:, None], axis=1)
+        self.A = model.score_coef(thetas)
+        self.B = model.hess_coef(thetas)
         self.trace_c = np.einsum("tkii->tk", self.B)
         T, d, K1 = self.A.shape
         A = self.A.reshape(T * d, K1)
@@ -178,18 +164,22 @@ class PosteriorCoefficients:
 
 def fd_ibp_objective(model, draws: PosteriorDraws, recon_measure) -> DivergenceEstimate:
     """Target-free objective: trace of the weighted-posterior Hessian plus
-    half the squared weighted-posterior score, averaged over draws."""
+    half the squared weighted-posterior score, averaged over draws. It drops
+    the constant half mean squared target score, so it equals ``fd_direct``
+    minus that constant."""
     coef = PosteriorCoefficients(model, draws.draws)
     Phi = recon_measure.weights @ model.phi(recon_measure.points)
-    return _estimate(coef.per_draw(Phi)[0], constant_note=True)
+    return _estimate(coef.per_draw(Phi)[0])
 
 
 def sfd_objective(model, draws: PosteriorDraws, slices, recon_measure) -> DivergenceEstimate:
     """Sliced form: the trace term is replaced by quadratic forms along the
-    provided slice directions (shape (T, L, d)), averaged over the slices."""
+    provided slice directions (shape (T, L, d)), averaged over the slices.
+    Like ``fd_ibp_objective`` it drops the constant half mean squared target
+    score."""
     coef = PosteriorCoefficients(model, draws.draws)
     Phi = recon_measure.weights @ model.phi(recon_measure.points)
-    return _estimate(coef.per_draw(Phi, slices)[0], constant_note=True)
+    return _estimate(coef.per_draw(Phi, slices)[0])
 
 
 # --- model-induced kernels ---------------------------------------------------

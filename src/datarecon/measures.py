@@ -258,10 +258,6 @@ def write_rows(path, header, rows) -> None:
         writer.writerows([f"{v:.17g}" for v in row] for row in rows)
 
 
-def save_dataset(path, points: np.ndarray, names) -> None:
-    write_rows(path, names, np.atleast_2d(points))
-
-
 def save_measure(path, measure: WeightedEmpiricalMeasure, layout: Layout) -> None:
     """Measure CSV: weight column followed by the point coordinates."""
     write_rows(path, ("weight",) + layout.coord_names(),

@@ -2,9 +2,10 @@
 
 Every likelihood model factorises its log-likelihood as a(theta)^T phi(z)
 over a short feature vector phi and declares only the primitives: phi, its
-data Jacobian, the coefficient maps a, da/dtheta and d2a/dtheta2, and its
-prior terms. The objectives work on these directly; the per-point
-log-likelihood and score kept here are the independent oracle for them.
+data Jacobian and the coefficient maps a, da/dtheta and d2a/dtheta2, whose
+last entry holds the prior. The objectives work on these directly; the
+per-point log-likelihood and score kept here are the independent oracle for
+them.
 Loss models declare the per-datum loss, its parameter gradient and that
 gradient's data Jacobian. ``finite_difference_audit`` checks every analytic
 derivative against central differences.
@@ -97,17 +98,18 @@ class _RegressionLayouts:
 
 class LikelihoodModel:
     """Contract: a log-likelihood that factorises as a(theta)^T phi(z) over a
-    short vector of K data features phi, plus the prior terms entering the
-    weighted posterior.
+    short vector of K data features phi.
 
     A model declares the primitives ``phi`` and ``phi_jac`` (features and
-    their Jacobian over the free data coordinates), the coefficient maps
+    their Jacobian over the free data coordinates) and the coefficient maps
     ``loglik_coef`` (a), ``score_coef`` (A = da/dtheta) and ``hess_coef``
-    (B = d2a/dtheta2), and the prior's log density, score and Hessian. The
-    statistic-space objective is built from these: the weighted
-    pseudo-posterior depends on a measure only through its feature sums
-    Phi = sum_m w_m phi(z_m). The per-point log-likelihood and score below
-    are the reference the objective and the audit compare against.
+    (B = d2a/dtheta2). Each map has K+1 entries: the last holds the prior's
+    log density, score and Hessian, so the weighted pseudo-posterior's log
+    density is a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature
+    sums of a measure. The statistic-space objective and the sampler are
+    built from these. The per-point log-likelihood and score below use the
+    first K entries only; they are the reference the objective and the
+    audit compare against.
     """
 
     param_dim: int
@@ -139,31 +141,22 @@ class LikelihoodModel:
     def phi_jac(self, points):                        # (M, K, p_free)
         raise NotImplementedError
 
-    def loglik_coef(self, thetas):                    # (T, K)
+    def loglik_coef(self, thetas):                    # (T, K+1)
         raise NotImplementedError
 
-    def score_coef(self, thetas):                     # (T, d, K)
+    def score_coef(self, thetas):                     # (T, d, K+1)
         raise NotImplementedError
 
-    def hess_coef(self, thetas):                      # (T, K, d, d)
-        raise NotImplementedError
-
-    def log_prior(self, thetas):                      # (T,), or a scalar for one theta
-        raise NotImplementedError
-
-    def prior_score_batch(self, thetas):              # (T, d)
-        raise NotImplementedError
-
-    def prior_hess_batch(self, thetas):               # (T, d, d)
+    def hess_coef(self, thetas):                      # (T, K+1, d, d)
         raise NotImplementedError
 
     # per-point log-likelihood and score, the oracle for the objectives ------
     def log_lik_batch(self, theta, points):           # (M,)
         theta = np.asarray(theta, dtype=float).ravel()
-        return self.phi(points) @ self.loglik_coef(theta[None, :])[0]
+        return self.phi(points) @ self.loglik_coef(theta[None, :])[0, :-1]
 
     def score_batch(self, thetas, points):            # (T, M, d)
-        return np.einsum("tdk,mk->tmd", self.score_coef(thetas), self.phi(points))
+        return np.einsum("tdk,mk->tmd", self.score_coef(thetas)[:, :, :-1], self.phi(points))
 
     # y-part initialisation hooks (regression models override)
     def predict_mean(self, theta, x_part):
@@ -182,32 +175,21 @@ class LikelihoodModel:
         return self.score_batch(theta[None, :], np.atleast_2d(x))[0, 0]
 
 
-class _StandardNormalPrior:
-    """Standard Gaussian prior on all parameters."""
-
-    def log_prior(self, thetas):
-        return -0.5 * np.sum(np.asarray(thetas, dtype=float) ** 2, axis=-1)
-
-    def prior_score_batch(self, thetas):
-        return -np.asarray(thetas, dtype=float)
-
-    def prior_hess_batch(self, thetas):
-        T, d = np.shape(thetas)
-        return np.broadcast_to(-np.eye(d), (T, d, d))
-
-
 # --- bundled likelihood models -----------------------------------------------
 
-class GaussianMeanLocation(_StandardNormalPrior, LikelihoodModel):
+class GaussianMeanLocation(LikelihoodModel):
     """Infer the mean of observed vectors: l(theta, x) = exp(-||theta - x||^2 / 2)
     with a standard Gaussian prior. Score is x - theta, Hessian is -I.
 
     Features phi(x) = (1, x, ||x||^2) with a(theta) = (-||theta||^2 / 2, theta, -1/2).
+    The prior is a pseudo-point at x = 0, so its entry repeats the first.
     """
 
     def __init__(self, dim: int = 1):
-        self.param_dim = integer("dim", dim, 1)
+        self.param_dim = d = integer("dim", dim, 1)
         self.layout = Layout(p=dim, x_idx=tuple(range(dim)))
+        self._hess = np.zeros((d + 3, d, d))          # fixed over theta
+        self._hess[[0, -1]] = -np.eye(d)
 
     def phi(self, points):
         x = np.asarray(points, dtype=float)
@@ -223,22 +205,19 @@ class GaussianMeanLocation(_StandardNormalPrior, LikelihoodModel):
 
     def loglik_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
-        return np.column_stack([-0.5 * np.sum(thetas**2, axis=1), thetas,
-                                np.full(len(thetas), -0.5)])
+        half_sq = -0.5 * np.sum(thetas**2, axis=1)
+        return np.column_stack([half_sq, thetas, np.full(len(thetas), -0.5), half_sq])
 
     def score_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         d = self.param_dim
-        out = np.zeros((len(thetas), d, d + 2))
-        out[:, :, 0] = -thetas
+        out = np.zeros((len(thetas), d, d + 3))
+        out[:, :, 0] = out[:, :, -1] = -thetas
         out[:, :, 1:d + 1] = np.eye(d)
         return out
 
     def hess_coef(self, thetas):
-        d = self.param_dim
-        out = np.zeros((len(thetas), d + 2, d, d))
-        out[:, 0] = -np.eye(d)
-        return out
+        return np.broadcast_to(self._hess, (len(thetas),) + self._hess.shape)
 
 
 class _GaussianRegression(LikelihoodModel):
@@ -319,23 +298,26 @@ class _GaussianRegression(LikelihoodModel):
         return _monomials(np.atleast_2d(x_part), exps) @ beta
 
 
-class BayesLinReg(_StandardNormalPrior, _RegressionLayouts, _GaussianRegression):
+class BayesLinReg(_RegressionLayouts, _GaussianRegression):
     """Bayesian linear regression on a feature vector psi(x) with unit noise:
     l(theta, x) proportional to exp(-(  <theta, psi(x)> - y )^2 / 2) and a
     standard Gaussian prior on the coefficients."""
 
     def __init__(self, features, layout: Layout):
         super().__init__(features, layout)
-        self.param_dim = len(features.exponents)
+        self.param_dim = d = len(features.exponents)
+        self._hess = np.concatenate([self._d2q, -np.eye(d)[None]])   # fixed over theta
 
     def loglik_coef(self, thetas):
-        return self._q(np.asarray(thetas, dtype=float))
+        thetas = np.asarray(thetas, dtype=float)
+        return np.column_stack([self._q(thetas), -0.5 * np.sum(thetas**2, axis=1)])
 
     def score_coef(self, thetas):
-        return self._dq(np.asarray(thetas, dtype=float))
+        thetas = np.asarray(thetas, dtype=float)
+        return np.concatenate([self._dq(thetas), -thetas[:, :, None]], axis=2)
 
     def hess_coef(self, thetas):
-        return np.broadcast_to(self._d2q, (len(thetas),) + self._d2q.shape)
+        return np.broadcast_to(self._hess, (len(thetas),) + self._hess.shape)
 
     def noise_scale(self, theta) -> float:
         return 1.0
@@ -366,49 +348,37 @@ class KidScoreModel(_GaussianRegression):
         return thetas[:, :2], thetas[:, 2]
 
     # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2; the constant
-    # monomial also carries q's beta_0^2 term, so c(s) is added to it
+    # monomial also carries q's beta_0^2 term, so c(s) is added to it. The
+    # prior entry is -log(1 + (s / scale)^2), flat in beta.
     def loglik_coef(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        s2 = thetas[:, 2:] ** 2
-        out = self._q(thetas[:, :2]) / s2
+        beta, s = self._split_theta(thetas)
+        s2 = (s**2)[:, None]
+        out = np.empty((len(s), self.n_features + 1))
+        out[:, :-1] = self._q(beta) / s2
         out[:, :1] += -0.5 * np.log(2.0 * np.pi * s2)
+        out[:, -1] = -np.log1p((s / self.prior_scale) ** 2)
         return out
 
     def score_coef(self, thetas):
         beta, s = self._split_theta(thetas)
-        out = np.empty((len(s), 3, self.n_features))
-        out[:, :2] = self._dq(beta) / (s**2)[:, None, None]
-        out[:, 2] = -2.0 * self._q(beta) / (s**3)[:, None]
+        out = np.zeros((len(s), 3, self.n_features + 1))
+        out[:, :2, :-1] = self._dq(beta) / (s**2)[:, None, None]
+        out[:, 2, :-1] = -2.0 * self._q(beta) / (s**3)[:, None]
         out[:, 2, 0] -= 1.0 / s
+        out[:, 2, -1] = -2.0 * s / (self.prior_scale**2 + s**2)
         return out
 
     def hess_coef(self, thetas):
         beta, s = self._split_theta(thetas)
-        out = np.empty((len(s), self.n_features, 3, 3))
-        out[:, :, :2, :2] = self._d2q / (s**2)[:, None, None, None]
+        out = np.zeros((len(s), self.n_features + 1, 3, 3))
+        out[:, :-1, :2, :2] = self._d2q / (s**2)[:, None, None, None]
         cross = -2.0 * self._dq(beta).transpose(0, 2, 1) / (s**3)[:, None, None]
-        out[:, :, :2, 2] = cross
-        out[:, :, 2, :2] = cross
-        out[:, :, 2, 2] = 6.0 * self._q(beta) / (s**4)[:, None]
+        out[:, :-1, :2, 2] = cross
+        out[:, :-1, 2, :2] = cross
+        out[:, :-1, 2, 2] = 6.0 * self._q(beta) / (s**4)[:, None]
         out[:, 0, 2, 2] += 1.0 / s**2
-        return out
-
-    def log_prior(self, thetas):
-        sigma = np.asarray(thetas, dtype=float)[..., 2]
-        return -np.log1p((sigma / self.prior_scale) ** 2)
-
-    def prior_score_batch(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        sigma = thetas[:, 2]
-        out = np.zeros_like(thetas)
-        out[:, 2] = -2.0 * sigma / (self.prior_scale**2 + sigma**2)
-        return out
-
-    def prior_hess_batch(self, thetas):
-        sigma = np.asarray(thetas, dtype=float)[:, 2]
         g2 = self.prior_scale**2
-        out = np.zeros((len(sigma), 3, 3))
-        out[:, 2, 2] = 2.0 * (sigma**2 - g2) / (g2 + sigma**2) ** 2
+        out[:, -1, 2, 2] = 2.0 * (s**2 - g2) / (g2 + s**2) ** 2
         return out
 
     def noise_scale(self, theta) -> float:
@@ -466,7 +436,7 @@ class SquaredErrorLoss(_RegressionLayouts, LossModel):
         return -2.0 * self._lik.log_lik_batch(theta, points)
 
     def grad_and_jac_batch(self, theta, points):
-        A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
+        A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0, :, :-1]
         return (-2.0 * self._lik.phi(points) @ A.T,
                 -2.0 * np.einsum("dk,mkp->mdp", A, self._lik.phi_jac(points)))
 
@@ -542,9 +512,9 @@ def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
     """Validate every analytic derivative against central differences.
 
     For likelihood models these are the factor primitives, each against
-    differences of the one it differentiates (a -> A -> B in theta, phi ->
-    phi_jac over the free data coordinates, log prior -> prior score ->
-    prior Hessian), plus the per-point score against differences of the
+    differences of the one it differentiates (a -> A -> B in theta, the
+    prior entry included, and phi -> phi_jac over the free data
+    coordinates), plus the per-point score against differences of the
     log-likelihood (check ``score_theta``). For loss models: the parameter
     gradient, the regularizer gradient and the data Jacobian. The step is
     scaled per coordinate: h = h_scale * max(1, |coordinate|).
@@ -582,19 +552,14 @@ def _single(batch_fn):
 def _audit_likelihood(model, theta, x, h_scale, checks):
     hs_t = _steps(theta, h_scale)
     a, A = _single(model.loglik_coef), _single(model.score_coef)
-    prior_score = _single(model.prior_score_batch)
 
     num = _central(lambda t: model.log_lik(t, x), theta, hs_t)
     checks["score_theta"] = _rel_err(model.score_theta(theta, x), num)
 
-    # _central stacks the theta derivative last: (K, d) for a, (d, K, d) for A
+    # _central stacks the theta derivative last: (K+1, d) for a, (d, K+1, d) for A
     checks["score_coef"] = _rel_err(A(theta), _central(a, theta, hs_t).T)
     checks["hess_coef"] = _rel_err(_single(model.hess_coef)(theta),
                                    _central(A, theta, hs_t).transpose(1, 0, 2))
-    num = _central(model.log_prior, theta, hs_t)
-    checks["prior_score"] = _rel_err(prior_score(theta), num)
-    num = _central(prior_score, theta, hs_t)
-    checks["prior_hess"] = _rel_err(_single(model.prior_hess_batch)(theta), num)
 
     num = _central(_single(model.phi), x, _steps(x, h_scale), model.layout.free_idx)
     checks["phi_jac"] = _rel_err(_single(model.phi_jac)(x), num)

@@ -59,7 +59,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     given dataset ``X``. Proposals are isotropic Gaussian; proposals outside
     the model domain are auto-rejected. The dataset enters the likelihood
     only through its feature sums, so it is reduced to them once and each
-    proposal costs O(K), not O(N).
+    proposal costs O(K), not O(N); the prior is feature K+1 at weight 1.
 
     Every proposal made before the next acceptance starts from the current
     state, so the next ``RWM_BLOCK`` of them are scored in one batched call
@@ -74,7 +74,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     if config.init is None:
         raise ValueError("rwm_draws needs an initial parameter vector")
     theta = model.check_theta(np.asarray(config.init, dtype=float))
-    phi_data = model.phi(X).sum(axis=0)
+    phi1 = np.append(model.phi(X).sum(axis=0), 1.0)
 
     burn_in = 10 * config.T if config.burn_in is None else config.burn_in
     thin = max(config.thinning, 1)
@@ -83,8 +83,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     d = model.param_dim
 
     def log_post(thetas):                              # (B, d) -> (B,)
-        lp = model.loglik_coef(thetas) @ phi_data + model.log_prior(thetas)
-        return np.where(model.in_domain(thetas), lp, -np.inf)
+        return np.where(model.in_domain(thetas), model.loglik_coef(thetas) @ phi1, -np.inf)
 
     def n_kept(step):                                  # draws kept before ``step``
         return max(step - burn_in, 0) // thin

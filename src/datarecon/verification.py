@@ -137,7 +137,7 @@ def check_sfd_fd_agreement(T: int = 100, L: int = 10_000,
     slices = rng.standard_normal((T, L, d))
     coef = PosteriorCoefficients(model, draws.draws)
     Phi = recon.weights @ model.phi(recon.points)
-    paired = _estimate(coef.per_draw(Phi, slices)[0] - coef.per_draw(Phi)[0], False)
+    paired = _estimate(coef.per_draw(Phi, slices)[0] - coef.per_draw(Phi)[0])
     attack = (objective_value("sfd", model, recon, draws=draws, slices=slices)
               - objective_value("fd", model, recon, draws=draws))
     gap = max(abs(paired.value), abs(attack))
@@ -209,7 +209,7 @@ def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
     w = rng.standard_normal(3)
     recon = build_measure(Z, w)
     draws = exact_gaussian_mean_draws(X, T, seed=seed + 1)
-    S_target = model.prior_score_batch(draws.draws) + np.einsum(
+    S_target = model.score_coef(draws.draws)[:, :, -1] + np.einsum(
         "m,tmd->td", target.weights, model.score_batch(draws.draws, target.points))
     c_per_draw = 0.5 * np.sum(S_target**2, axis=1)
     c_oracle = float(np.mean(c_per_draw))
@@ -217,8 +217,7 @@ def check_ibp_constant(T: int = 100_000, seed: int = 20240820) -> CheckResult:
     fd = fd_direct(model, draws, target, recon)
     coef = PosteriorCoefficients(model, draws.draws)
     ibp, _, S_recon = coef.per_draw(recon.weights @ model.phi(recon.points))
-    paired = _estimate(ibp + c_per_draw - 0.5 * np.sum((S_target - S_recon) ** 2, axis=1),
-                       False)
+    paired = _estimate(ibp + c_per_draw - 0.5 * np.sum((S_target - S_recon) ** 2, axis=1))
     attack = objective_value("fd", model, recon, draws=draws) + c_oracle - fd.value
     gap = max(abs(paired.value), abs(attack))
     ok1 = gap <= 3 * paired.std_error

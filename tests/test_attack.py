@@ -132,9 +132,10 @@ def _per_point_value_and_grads(model, thetas, measure, slices=None):
     points = measure.points
     T = len(thetas)
     phi, phi_jac = model.phi(points), model.phi_jac(points)      # (M, K), (M, K, pf)
-    B, P = model.hess_coef(thetas), model.prior_hess_batch(thetas)
+    A, B = model.score_coef(thetas), model.hess_coef(thetas)     # entry K+1 is the prior
+    A, p, B, P = A[:, :, :-1], A[:, :, -1], B[:, :-1], B[:, -1]
     scores = model.score_batch(thetas, points)                   # (T, M, d)
-    S = model.prior_score_batch(thetas) + np.einsum("m,tmd->td", w, scores)
+    S = p + np.einsum("m,tmd->td", w, scores)
     if slices is None:
         curv_coef = np.einsum("tkii->tk", B)                     # (T, K)
         curv_m = curv_coef @ phi.T                               # (T, M)
@@ -146,7 +147,7 @@ def _per_point_value_and_grads(model, thetas, measure, slices=None):
     per_draw = curv_prior + curv_m @ w + 0.5 * np.sum(S**2, axis=1)
     value = float(np.mean(per_draw))
     grad_w = curv_m.mean(axis=0) + np.einsum("td,tmd->m", S, scores) / T
-    jac = np.einsum("tdk,mkp->tmdp", model.score_coef(thetas), phi_jac)  # (T, M, d, pf)
+    jac = np.einsum("tdk,mkp->tmdp", A, phi_jac)                 # (T, M, d, pf)
     grad_z = np.einsum("tmdj,td->mj", jac, S) / T
     if slices is None:
         grad_z += np.einsum("tk,mkp->tmp", curv_coef, phi_jac).mean(axis=0)
@@ -198,8 +199,8 @@ class TestPrecomputedQuadratic:
         # entry hold the prior terms
         coef = PosteriorCoefficients(model, thetas)
         T, K = len(thetas), coef.A.shape[2] - 1
-        A, p = model.score_coef(thetas), model.prior_score_batch(thetas)
-        B, P = model.hess_coef(thetas), model.prior_hess_batch(thetas)
+        A, B = model.score_coef(thetas), model.hess_coef(thetas)
+        A, p, B, P = A[:, :, :-1], A[:, :, -1], B[:, :-1], B[:, -1]
         G = sum(A[t].T @ A[t] for t in range(T)) / T
         h = sum(A[t].T @ p[t] for t in range(T)) / T
         half_prior_sq = sum(p[t] @ p[t] for t in range(T)) / (2 * T)

@@ -15,8 +15,8 @@ from datarecon.measures import (
     build_measure,
     load_dataset,
     load_measure,
-    save_dataset,
     save_measure,
+    write_rows,
 )
 from datarecon.samplers import load_draws
 
@@ -36,7 +36,7 @@ def _gaussian_dataset(tmp_path, seed=0, n=6, d=2):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) + 0.5
     data_path = tmp_path / "data.csv"
-    save_dataset(data_path, X, tuple(f"c{i}" for i in range(d)))
+    write_rows(data_path, tuple(f"c{i}" for i in range(d)), X)
     return X, str(data_path)
 
 
@@ -440,6 +440,11 @@ BAD_ATTACK_INPUTS = [
     # inside the domain, but sigma = 1e-300 overflows the log likelihood
     ("sampler_init_zero_posterior", lambda tmp_path, _: _kidscore_cfg(tmp_path),
      "sampler", "init", [0.0, 0.0, 1e-300]),
+    # a Bayesian attack starts its regression responses from theta_star if given
+    ("bayes_theta_star_too_short", lambda tmp_path, _: _kidscore_cfg(tmp_path),
+     "attack", "theta_star", [1.0, 2.0]),
+    ("bayes_theta_star_not_a_list", lambda tmp_path, _: _kidscore_cfg(tmp_path),
+     "attack", "theta_star", "abc"),
     ("sampler_section_missing", _bayes_cfg, "sampler", None, _MISSING),
     ("sampler_kind_unknown", _bayes_cfg, "sampler", "kind", "gibbs"),
     ("exact_on_kidscore", _with(_with(_bayes_cfg, "model", {"name": "kidscore"}),
@@ -483,7 +488,7 @@ def _kidscore_cfg(tmp_path, intercept=1.0):
     rng = np.random.default_rng(15)
     r = rng.standard_normal(12)
     X = np.column_stack([np.full(12, intercept), r, 0.5 * r + rng.standard_normal(12)])
-    save_dataset(tmp_path / "data.csv", X, ("intercept", "r", "u"))
+    write_rows(tmp_path / "data.csv", ("intercept", "r", "u"), X)
     return {
         "model": {"name": "kidscore"},
         "data": {"path": str(tmp_path / "data.csv")},
@@ -587,7 +592,7 @@ class TestAttackDataHandling:
         rng = np.random.default_rng(16)
         s = rng.standard_normal(15)
         y = 1.0 + s - 0.5 * s**2 + 0.3 * rng.standard_normal(15)
-        save_dataset(tmp_path / "data.csv", np.column_stack([s, y]), ("s", "y"))
+        write_rows(tmp_path / "data.csv", ("s", "y"), np.column_stack([s, y]))
         cfg = _write_config(tmp_path / "cfg.json", {
             "model": {"name": "bayes_linreg", "degree": 2},
             "data": {"path": str(tmp_path / "data.csv")},

@@ -87,7 +87,6 @@ class TestFdDirect:
         est = fd_direct(model, draws, build_measure(X), recon)
         assert abs(est.value - 2 / 9) <= 3 * est.std_error
         assert est.std_error > 0
-        assert not est.constant_note
 
 
 class TestFdIbp:
@@ -100,7 +99,6 @@ class TestFdIbp:
         est = fd_ibp_objective(model, draws, build_measure(X))
         expected = -2 * (5 + 1) / 2
         assert abs(est.value - expected) <= 3 * est.std_error
-        assert est.constant_note
 
     def test_zero_weights_reduce_to_prior(self):
         model = GaussianMeanLocation(1)

@@ -9,9 +9,9 @@ from datarecon.measures import (
     load_dataset,
     load_measure,
     recon_statistics,
-    save_dataset,
     save_measure,
     stat_errors,
+    write_rows,
 )
 
 LAYOUT_XY = Layout(p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,))
@@ -136,7 +136,7 @@ class TestCsvRoundTrips:
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((4, 3))
         path = tmp_path / "data.csv"
-        save_dataset(path, pts, ("a", "b", "c"))
+        write_rows(path, ("a", "b", "c"), pts)
         loaded, names = load_dataset(path)
         assert names == ("a", "b", "c")
         assert np.array_equal(loaded, pts)

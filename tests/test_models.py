@@ -20,24 +20,26 @@ from datarecon.models import (
 # Per-point second-order quantities written out from the factor primitives:
 # with log l = a(theta)^T phi(x), the parameter Hessian is sum_k phi_k B_k,
 # the score's data Jacobian A phi_jac, and the data gradient of v^T H v is
-# sum_k (v^T B_k v) phi_jac_k (trace form: tr B_k).
+# sum_k (v^T B_k v) phi_jac_k (trace form: tr B_k). The sums run over the K
+# likelihood entries; entry K+1 is the prior.
 def _hessian(model, theta, x):
-    B = model.hess_coef(np.atleast_2d(theta))[0]
+    B = model.hess_coef(np.atleast_2d(theta))[0, :-1]
     return np.einsum("kij,k->ij", B, model.phi(np.atleast_2d(x))[0])
 
 
 def _jac_score(model, theta, x):
-    return model.score_coef(np.atleast_2d(theta))[0] @ model.phi_jac(np.atleast_2d(x))[0]
+    A = model.score_coef(np.atleast_2d(theta))[0, :, :-1]
+    return A @ model.phi_jac(np.atleast_2d(x))[0]
 
 
 def _grad_curvature(model, theta, x, v=None):
-    B = model.hess_coef(np.atleast_2d(theta))[0]
+    B = model.hess_coef(np.atleast_2d(theta))[0, :-1]
     coef = np.einsum("kii->k", B) if v is None else np.einsum("kij,i,j->k", B, v, v)
     return coef @ model.phi_jac(np.atleast_2d(x))[0]
 
 
 def _prior_score(model, theta):
-    return model.prior_score_batch(np.atleast_2d(theta))[0]
+    return model.score_coef(np.atleast_2d(theta))[0, :, -1]
 
 
 class TestGaussianMeanLocation:
@@ -139,7 +141,7 @@ class TestPriors:
     def test_standard_gaussian_prior(self):
         m = GaussianMeanLocation(2)
         np.testing.assert_array_equal(_prior_score(m, [1.0, -1.0]), [-1.0, 1.0])
-        assert np.trace(m.prior_hess_batch(np.array([[1.0, -1.0]]))[0]) == -2.0
+        assert np.trace(m.hess_coef(np.array([[1.0, -1.0]]))[0, -1]) == -2.0
 
     def test_flat_beta_prior_is_zero(self):
         m = KidScoreModel()
@@ -165,12 +167,13 @@ class TestRowwiseDomainAndPrior:
         (KidScoreModel(prior_scale=2.5), lambda t: -np.log(1.0 + (t[2] / 2.5) ** 2)),
     ])
     def test_log_prior_is_row_wise(self, model, density):
+        # the log prior is the last entry of a(theta)
         thetas = np.random.default_rng(17).standard_normal((5, 3)) + [0.0, 0.0, 2.0]
-        rows = model.log_prior(thetas)
+        rows = model.loglik_coef(thetas)[:, -1]
         assert rows.shape == (5,)
         for theta, value in zip(thetas, rows):
             assert value == pytest.approx(density(theta), rel=1e-12)
-            assert model.log_prior(theta) == pytest.approx(value, rel=1e-14)
+            assert model.loglik_coef(theta[None, :])[0, -1] == pytest.approx(value, rel=1e-14)
 
 
 class TestLossModels:
@@ -298,13 +301,19 @@ class TestFiniteDifferenceAudit:
         ("score_coef", "score_coef"),
         ("hess_coef", "hess_coef"),
         ("phi_jac", "phi_jac"),
-        ("prior_hess_batch", "prior_hess"),
+        ("hess_coef_prior", "hess_coef"),
     ])
     def test_corrupted_score_detected(self, method, check):
-        def corrupted(self, *args):
-            return getattr(GaussianMeanLocation, method)(self, *args) + 0.1
+        # +0.1 on the whole output, or on B's last row (the prior Hessian) only
+        name = method.removesuffix("_prior")
+        rows = np.s_[:] if name == method else np.s_[:, -1]
 
-        model = type("Corrupted", (GaussianMeanLocation,), {method: corrupted})(2)
+        def corrupted(self, *args):
+            out = np.array(getattr(GaussianMeanLocation, name)(self, *args))
+            out[rows] += 0.1
+            return out
+
+        model = type("Corrupted", (GaussianMeanLocation,), {name: corrupted})(2)
         report = finite_difference_audit(
             model, np.array([0.3, -0.2]), np.array([1.0, 2.0]))
         assert not report.passed
@@ -314,16 +323,32 @@ class TestFiniteDifferenceAudit:
 LIKELIHOOD_MODELS = [(n, m) for n, m in ALL_MODELS if hasattr(m, "phi")]
 
 
+class TestFixedHessianBroadcast:
+    """A Hessian block fixed over theta is handed out as one broadcast view,
+    by the model and through PosteriorCoefficients: writing out T copies of
+    B made the fd attack on cubic regression markedly slower."""
+
+    @pytest.mark.parametrize("model", [
+        BayesLinReg.identity_with_intercept(2),
+        BayesLinReg.polynomial(3),
+        GaussianMeanLocation(3),
+    ], ids=["bayes_linreg_identity", "bayes_linreg_poly", "gaussian_mean"])
+    def test_fixed_hessian_is_not_materialised(self, model):
+        thetas = np.random.default_rng(19).standard_normal((50, model.param_dim))
+        assert model.hess_coef(thetas).strides[0] == 0
+        assert PosteriorCoefficients(model, thetas).B.strides[0] == 0
+
+
 def _layout_points(model, n, rng):
     return np.array([_random_point(model, rng)[1] for _ in range(n)])
 
 
 def _release_gram(model, rng, T=40):
     """G = mean_t A_t^T A_t over random draws of the likelihood block A of
-    the scores: the directions in feature-sum space that the posterior
-    scores see."""
+    the scores (the first K entries): the directions in feature-sum space
+    that the posterior scores see."""
     thetas = np.array([_random_point(model, rng)[0] for _ in range(T)])
-    A = model.score_coef(thetas)
+    A = model.score_coef(thetas)[:, :, :-1]
     return np.einsum("tdk,tdl->kl", A, A) / T
 
 

@@ -37,10 +37,11 @@ def test_tracer_targets_resolve():
 
 
 # Model methods that the tracer still lists but no bundled model has since the
-# per-point callbacks were deleted; their spans read 0 until the tracer drops them.
+# per-point callbacks were deleted and the prior became the last entry of the
+# coefficient maps; their spans read 0 until the tracer drops them.
 STALE_MODEL_METHODS = {"trace_batch", "quad_batch", "jac_score_batch", "grad_trace_batch",
                        "grad_quad_batch", "prior_trace_batch", "prior_quad_batch",
-                       "jac_data_batch"}
+                       "jac_data_batch", "log_prior", "prior_score_batch"}
 
 
 def test_tracer_model_methods_resolve():

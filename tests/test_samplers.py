@@ -133,7 +133,7 @@ def _step_by_step_chain(model, X, cfg):
     def log_post(t):
         if not model.in_domain(t[None, :]):
             return -np.inf
-        return float(np.sum(model.log_lik_batch(t, X))) + model.log_prior(t)
+        return float(np.sum(model.log_lik_batch(t, X))) + model.loglik_coef(t[None, :])[0, -1]
 
     burn_in = 10 * cfg.T if cfg.burn_in is None else cfg.burn_in
     thin = max(cfg.thinning, 1)
