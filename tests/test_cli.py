@@ -243,6 +243,35 @@ class TestAttackCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["draws"] is None and summary["wall_s"]["sample"] is None
 
+    def test_logistic_nonbayes_attack(self, runner, tmp_path):
+        # the one tier-1 attack on a logistic loss; its initial labels come
+        # from LossModel.predict_mean
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 2))
+        y = np.where(x @ [1.0, -1.0] + 0.5 * rng.standard_normal(30) > 0, 1.0, -1.0)
+        write_rows(tmp_path / "data.csv", ("x0", "x1", "y"), np.column_stack([x, y]))
+        cfg_dict = {
+            "model": {"name": "logistic", "dim": 2, "ridge": 0.5},
+            "data": {"path": str(tmp_path / "data.csv")},
+            "attack": {"objective": "nonbayes", "M": 10, "iters": 300, "lr_w": 1e-2,
+                       "lr_z": 1e-2, "seed": 3, "trace_every": 50,
+                       "theta_star": [0.6, -0.6], "trace_target": True},
+        }
+        outputs = []
+        for run in range(2):
+            cfg_dict["output"] = {"dir": str(tmp_path / f"out{run}")}
+            cfg = _write_config(tmp_path / "cfg.json", cfg_dict)
+            result = runner.invoke(main, ["attack", "--config", cfg])
+            assert result.exit_code == 0, result.output
+            outputs.append(tuple((tmp_path / f"out{run}" / name).read_bytes()
+                                 for name in ("trace.csv", "measure.csv")))
+        assert outputs[0] == outputs[1]
+        header, *rows = outputs[0][0].decode().splitlines()
+        cols = header.split(",")
+        assert {"xy_0", "xy_1", "yy", "err_weighted_xy", "err_weighted_yy"} <= set(cols)
+        objective = [float(row.split(",")[cols.index("objective")]) for row in rows]
+        assert len(objective) == 7 and objective[-1] < objective[0]
+
 
 class TestVerifyCommand:
     def test_filtered_check_passes(self, runner):

@@ -113,6 +113,21 @@ class TestReconStatistics:
         assert all(v == 0.0 for v in stat_errors(sa, sb).values())
 
 
+class TestColumns:
+    def test_trace_row_order(self):
+        s = recon_statistics(build_measure([(1.0, 3.0, 2.0), (1.0, -1.0, 0.5)]), LAYOUT_XY)
+        names, values = zip(*s.columns())
+        assert names == ("total_mass", "mean_c1", "var_c1", "mean_c2", "var_c2",
+                         "gram_0_0", "gram_0_1", "gram_1_1", "xy_0", "xy_1", "yy")
+        assert values == (s.total_mass, *s.moments().values(),
+                          *s.weighted_gram[np.triu_indices(2)], *s.weighted_xy, s.weighted_yy)
+
+    def test_no_y_columns_without_y(self):
+        names = [n for n, _ in recon_statistics(build_measure([(1.0, 2.0)]), LAYOUT_X).columns()]
+        assert names == ["total_mass", "mean_c0", "var_c0", "mean_c1", "var_c1",
+                         "gram_0_0", "gram_0_1", "gram_1_1"]
+
+
 class TestStatErrors:
     def test_identical_is_zero(self):
         s = recon_statistics(build_measure([(1.0, 3.0, 2.0)]), LAYOUT_XY)
@@ -122,6 +137,26 @@ class TestStatErrors:
         a = recon_statistics(build_measure([(1.0, 0.0, 0.0)], (434.0,)), LAYOUT_XY)
         b = recon_statistics(build_measure([(1.0, 0.0, 0.0)], (400.0,)), LAYOUT_XY)
         assert stat_errors(a, b)["total_mass"] == pytest.approx(34 / 434, rel=1e-12)
+
+    def test_different_layouts_rejected(self):
+        pts = [(1.0, 3.0, 2.0)]
+        a = recon_statistics(build_measure(pts), LAYOUT_XY)
+        b = recon_statistics(build_measure(pts), Layout(p=3, x_idx=(0, 1, 2)))
+        with pytest.raises(ValueError, match="statistics computed under different layouts"):
+            stat_errors(a, b)
+
+    def test_each_group_reports_its_largest_error(self):
+        # keys in trace order; an array statistic's error is its worst entry
+        a = recon_statistics(build_measure([(1.0, 2.0, 4.0)]), LAYOUT_XY)
+        b = recon_statistics(build_measure([(1.0, 3.0, 4.0)]), LAYOUT_XY)
+        errs = stat_errors(a, b)
+        assert list(errs) == ["total_mass", "weighted_sum", "weighted_gram", "weighted_xy",
+                              "weighted_yy", "mean_c1", "var_c1", "mean_c2", "var_c2"]
+        assert errs["weighted_sum"] == 0.5          # (1, 2, 4) -> (1, 3, 4)
+        assert errs["weighted_gram"] == 1.25        # gram_1_1: 4 -> 9
+        assert errs["weighted_xy"] == 0.5           # xy_1: 8 -> 12
+        assert errs["weighted_yy"] == 0.0
+        assert errs["var_c1"] == 0.0                # one point: zero variance
 
     def test_two_point_variance_derivation(self):
         layout = Layout(p=1, x_idx=(0,))

@@ -100,6 +100,12 @@ class TestBayesLinReg:
         jac = _jac_score(m, [0.2, -0.5], [1.0, 3.0, 2.0])
         np.testing.assert_array_equal(jac[:, -1], [1.0, 3.0])
 
+    def test_layout_must_fit_the_features(self):
+        with pytest.raises(ValueError, match="requires a y coordinate"):
+            BayesLinReg(IdentityFeatures(1), Layout(p=1, x_idx=(0,)))
+        with pytest.raises(ValueError, match="feature map input size must match"):
+            BayesLinReg(IdentityFeatures(2), Layout(p=2, x_idx=(0,), y_idx=1))
+
     def test_polynomial_features(self):
         m = BayesLinReg.polynomial(2)
         assert m.param_dim == 3
@@ -129,6 +135,12 @@ class TestKidScore:
         jac = _jac_score(self.model, [0.0, 0.0, 1.0], [1.0, 0.0, 2.0])
         # -(2/sigma^3)(<beta,x> - u) = 4 at beta=0, sigma=1, u=2
         assert jac[2, 1] == pytest.approx(4.0, rel=1e-12)
+
+    def test_check_draws_rejects_short_and_nan_rows(self):
+        with pytest.raises(ValueError, match="parameter vectors must have 3 entries"):
+            self.model.check_draws([[0.0, 1.0]])
+        with pytest.raises(DomainError, match="non-finite entries"):
+            self.model.check_draws([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
 
     def test_domain_rejects_nonpositive_sigma(self):
         with pytest.raises(DomainError):
