@@ -14,6 +14,7 @@ Coordinates marked frozen in the layout receive no gradient and never move.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -96,6 +97,31 @@ def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+@functools.lru_cache(maxsize=32)
+def _slice_plan(L: int, d: int):
+    """What ``draw_slices`` needs of (L, d), built once: the number of
+    below-diagonal normals, the gamma shapes (L - k) / 2 of the diagonal,
+    the number of pairs p <= q, and per k < min(L, d) the terms A_pk A_qk
+    that are not zero by construction. Those are the pairs with p >= k, a
+    tail of the ``np.triu_indices(d)`` order: the plan holds where the tail
+    starts and the rows of A_pk and A_qk in A's packed rows (normals in
+    ``np.tril_indices(d, -1)`` order, then the diagonal)."""
+    m = min(L, d)
+    below = [(i, j) for i in range(d) for j in range(i) if j < m]
+    row = {entry: r for r, entry in enumerate(below)}
+    row.update({(k, k): len(below) + k for k in range(m)})
+    shapes = tuple((float(L) - k) / 2.0 for k in range(m))
+    pairs = [(p, q) for p in range(d) for q in range(p, d)]
+    terms = []
+    for k in range(m):
+        start = pairs.index((k, k))
+        rows = np.array([[row[p, k] for p, _ in pairs[start:]],
+                         [row[q, k] for _, q in pairs[start:]]])
+        rows.setflags(write=False)                   # shared by every call
+        terms.append((start, *rows))
+    return len(below), shapes, len(pairs), tuple(terms)
+
+
 def draw_slices(rng: np.random.Generator, T: int, L: int, d: int) -> SliceMoments:
     """The second moments of one block of L standard-normal slice directions
     per draw, drawn directly rather than from the directions.
@@ -106,16 +132,21 @@ def draw_slices(rng: np.random.Generator, T: int, L: int, d: int) -> SliceMoment
     diagonal entries are sqrt(chi^2_{L-i}) = sqrt(2 Gamma((L - i) / 2)). This
     is exact for every L >= 1, L < d included, and takes at most d(d+1)/2
     variates per draw whatever L is: one call draws all the normals, then
-    one all the gammas."""
-    m = min(L, d)
-    I, J = np.tril_indices(d, -1)
-    below = J < m
-    cols = np.zeros((m, d, T))                   # cols[k, i] = A_ik
-    cols[J[below], I[below]] = rng.standard_normal((int(below.sum()), T))
-    k = np.arange(m)
-    cols[k, k] = np.sqrt(2.0 * rng.standard_gamma((float(L) - k)[:, None] / 2.0, size=(m, T)))
-    P, Q = np.triu_indices(d)
-    return SliceMoments(np.einsum("kpt,kpt->pt", cols[:, P], cols[:, Q]), L)
+    one call per diagonal entry its gammas. Each pair sum adds its terms
+    A_pk A_qk in ascending k."""
+    n_below, shapes, n_pairs, terms = _slice_plan(L, d)
+    A = np.empty((n_below + len(shapes), T))     # A's nonzero entries, packed by row
+    rng.standard_normal(out=A[:n_below])
+    for r, shape in enumerate(shapes, n_below):
+        rng.standard_gamma(shape, size=T, out=A[r])
+    diag = A[n_below:]
+    np.sqrt(np.multiply(diag, 2.0, out=diag), out=diag)
+    sums = np.empty((n_pairs, T))
+    (_, a, b), *rest = terms                     # k = 0 reaches every pair
+    np.multiply(A[a], A[b], out=sums)
+    for start, a, b in rest:
+        sums[start:] += A[a] * A[b]
+    return SliceMoments(sums, L)
 
 
 def initialize_pseudo(model, config: AttackConfig, draws: PosteriorDraws | None = None,
@@ -181,8 +212,8 @@ def _evaluator(objective, model, draws, theta_star):
     Phi = w @ phi(Z). ``features`` gives phi (M, K) and its data Jacobian
     (M, K, p_free), which fd/sfd build only on request; ``head`` maps Phi to
     the value and its gradient g in Phi. fd/sfd: phi is the model's features
-    and the head is the posterior coefficients. nonbayes: phi(z) =
-    grad_theta loss(theta*, z) and the value is |G|^2 with
+    (``phi_and_jac``) and the head is the posterior coefficients. nonbayes:
+    phi(z) = grad_theta loss(theta*, z) and the value is |G|^2 with
     G = reg_grad(theta*) + Phi, so g = 2G.
     """
     check_model_fits(objective, model)
@@ -190,10 +221,7 @@ def _evaluator(objective, model, draws, theta_star):
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
-
-        def features(points, want_jac):
-            return model.phi(points), model.phi_jac(points) if want_jac else None
-
+        features = model.phi_and_jac
         head = PosteriorCoefficients(model, draws.draws).value_and_grad
     else:
         if theta_star is None:

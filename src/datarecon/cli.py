@@ -100,6 +100,16 @@ def _path(section: str, cfg: dict, key: str, default=None) -> Path:
     return Path(value)
 
 
+def _out_dir(cfg: dict) -> Path:
+    """``output.dir``, checked before any work is done: the nearest part of
+    it that exists must be a directory."""
+    out = _path("output", cfg.get("output", {}), "dir", ".")
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"output.dir {out} cannot be made: {existing} is not a directory")
+    return out
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -215,7 +225,7 @@ def sample(config_path):
     """Generate posterior draws and write them to a CSV file."""
     cfg = load_config(config_path)
     model = build_model(cfg.get("model", {}))
-    out = _path("output", cfg.get("output", {}), "dir", ".")
+    out = _out_dir(cfg)
     draws, _ = _get_draws(cfg, model)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "draws.csv"
@@ -239,7 +249,7 @@ def attack(config_path):
     if not isinstance(trace_target, bool):
         raise ValueError(f"attack.trace_target must be true or false, got {trace_target!r}")
     acfg = _owned("attack", AttackConfig, settings)
-    out = _path("output", cfg.get("output", {}), "dir", ".")
+    out = _out_dir(cfg)
     try:
         check_model_fits(acfg.objective, model)
     except ValueError as exc:
@@ -293,7 +303,7 @@ def attack(config_path):
         "draws": None if draws is None else {
             "source": draws.source, "T": draws.T, "acceptance_rate": draws.acceptance_rate},
         "final": {"objective": objective, "total_mass": stats.total_mass,
-                  "moments": stats.moments(), "errors": errors},
+                  "moments": stats.moments, "errors": errors},
         "wall_s": wall,
     }
     with open(out / "summary.json", "w") as fh:

@@ -10,6 +10,7 @@ weighted cross-moments) which is what the convergence traces track.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -144,9 +145,12 @@ class ReconStats:
     weighted_xy: np.ndarray | None    # (px,)
     weighted_yy: float | None
 
+    @functools.cached_property
     def moments(self) -> dict[str, float]:
         """Normalised weighted mean and variance per free coordinate, x-part
-        first; the second moments are the Gram diagonal and ``weighted_yy``."""
+        first; the second moments are the Gram diagonal and ``weighted_yy``.
+        Computed once per instance: a run compares every checkpoint with one
+        fixed target, and its trace rows read the same moments again."""
         lay = self.layout
         names = lay.coord_names()
         den = self.total_mass if abs(self.total_mass) > EPS_DEN else EPS_DEN
@@ -165,7 +169,7 @@ class ReconStats:
         """One ``trace.csv`` row's named statistics: total mass, the moments,
         the Gram upper triangle, then ``xy_i`` and ``yy`` if there is a y."""
         px = self.layout.px
-        cols = [("total_mass", self.total_mass), *self.moments().items()]
+        cols = [("total_mass", self.total_mass), *self.moments.items()]
         cols += [(f"gram_{i}_{j}", self.weighted_gram[i, j])
                  for i in range(px) for j in range(i, px)]
         if self.layout.y_idx is not None:
@@ -215,8 +219,8 @@ def stat_errors(target: ReconStats, recon: ReconStats) -> dict[str, float]:
             errs[name] = max(map(_rel, a.ravel().tolist(), b.ravel().tolist()))
     if target.weighted_yy is not None:
         errs["weighted_yy"] = _rel(target.weighted_yy, recon.weighted_yy)
-    tm = target.moments()
-    rm = recon.moments()
+    tm = target.moments
+    rm = recon.moments
     for key in tm:
         errs[key] = _rel(tm[key], rm[key])
     return errs

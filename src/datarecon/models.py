@@ -54,14 +54,19 @@ class PolynomialFeatures:
         self.exponents = np.arange(integer("degree", degree, 1) + 1)[:, None]
 
 
-def _monomials(z, E):
-    """The monomials prod_c z_c^E_kc of each row of z (M, cols): (M, K). The
-    powers of each coordinate come from repeated multiplication."""
-    top = E.max()
+def _powers(z, top):
+    """The powers z_c^e, e = 0..top, of each column of z (M, cols), from
+    repeated multiplication: (cols, M, top + 1)."""
     powers = np.empty((z.shape[1], len(z), top + 1))
     powers[..., 0] = 1.0
     for e in range(1, top + 1):
         powers[..., e] = powers[..., e - 1] * z.T
+    return powers
+
+
+def _monomials(powers, E):
+    """The monomials prod_c z_c^E_kc of each row of z (M, K), from its
+    ``_powers`` up to at least E.max()."""
     out = powers[0][:, E[:, 0]]
     for c in range(1, E.shape[1]):
         out *= powers[c][:, E[:, c]]
@@ -107,9 +112,10 @@ class LikelihoodModel:
     log density, score and Hessian, so the weighted pseudo-posterior's log
     density is a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature
     sums of a measure. The statistic-space objective and the sampler are
-    built from these. The per-point log-likelihood and score below use the
-    first K entries only; they are the reference the objective and the
-    audit compare against.
+    built from these; the objective asks for phi and phi_jac in one
+    ``phi_and_jac`` call, which a model may override. The per-point
+    log-likelihood and score below use the first K entries only; they are
+    the reference the objective and the audit compare against.
     """
 
     param_dim: int
@@ -140,6 +146,11 @@ class LikelihoodModel:
 
     def phi_jac(self, points):                        # (M, K, p_free)
         raise NotImplementedError
+
+    def phi_and_jac(self, points, want_jac):          # phi, and phi_jac or None
+        """``phi`` and, if ``want_jac``, ``phi_jac`` of the same points in one
+        call, for models that share work between the two."""
+        return self.phi(points), self.phi_jac(points) if want_jac else None
 
     def loglik_coef(self, thetas):                    # (T, K+1)
         raise NotImplementedError
@@ -285,17 +296,27 @@ class _GaussianRegression(LikelihoodModel):
         return (self._tilde(beta) @ self._dq_coef).reshape(len(beta), beta.shape[1], -1)
 
     def phi(self, points):
-        return _monomials(np.asarray(points)[:, self._free], self._E)
+        return self.phi_and_jac(points, False)[0]
 
     def phi_jac(self, points):
+        return self.phi_and_jac(points, True)[1]
+
+    # one table of powers serves both: the lowered exponents of the
+    # Jacobian never exceed the features' own
+    def phi_and_jac(self, points, want_jac):
         z = np.asarray(points)[:, self._free]
-        lowered = _monomials(z, self._jac_E).reshape(len(z), len(self._free), -1)
-        return (self._E.T * lowered).transpose(0, 2, 1)
+        powers = _powers(z, self._E.max())
+        phi = _monomials(powers, self._E)
+        if not want_jac:
+            return phi, None
+        lowered = _monomials(powers, self._jac_E).reshape(len(z), len(self._free), -1)
+        return phi, (self._E.T * lowered).transpose(0, 2, 1)
 
     def predict_mean(self, theta, x_part):
         exps = self.features.exponents
         beta = np.asarray(theta, dtype=float).ravel()[: len(exps)]
-        return _monomials(np.atleast_2d(x_part), exps) @ beta
+        x_part = np.atleast_2d(x_part)
+        return _monomials(_powers(x_part, exps.max()), exps) @ beta
 
 
 class BayesLinReg(_RegressionLayouts, _GaussianRegression):
@@ -437,8 +458,8 @@ class SquaredErrorLoss(_RegressionLayouts, LossModel):
 
     def grad_and_jac_batch(self, theta, points):
         A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0, :, :-1]
-        return (-2.0 * self._lik.phi(points) @ A.T,
-                -2.0 * np.einsum("dk,mkp->mdp", A, self._lik.phi_jac(points)))
+        phi, phi_jac = self._lik.phi_and_jac(points, True)
+        return -2.0 * phi @ A.T, -2.0 * np.einsum("dk,mkp->mdp", A, phi_jac)
 
     def predict_mean(self, theta, x_part):
         return self._lik.predict_mean(theta, x_part)

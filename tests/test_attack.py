@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from datarecon.attack import (
     run_attack,
 )
 from datarecon.divergence import PosteriorCoefficients, PosteriorDraws, SliceMoments
-from datarecon.measures import build_measure
+from datarecon.measures import ReconStats, build_measure
 from datarecon.models import (
     BayesLinReg,
     GaussianMeanLocation,
@@ -413,6 +415,49 @@ class TestSliceMoments:
             coef.mean_curvature(SliceMoments(np.zeros((6, 29)), 4))
 
 
+def _draw_slices_reference(rng, T, L, d):
+    """``draw_slices`` as it was before its plan was cached: index arrays
+    rebuilt per call, A zero-filled as (m, d, T), both pair gathers and one
+    einsum."""
+    m = min(L, d)
+    I, J = np.tril_indices(d, -1)
+    below = J < m
+    cols = np.zeros((m, d, T))                   # cols[k, i] = A_ik
+    cols[J[below], I[below]] = rng.standard_normal((int(below.sum()), T))
+    k = np.arange(m)
+    cols[k, k] = np.sqrt(2.0 * rng.standard_gamma((float(L) - k)[:, None] / 2.0, size=(m, T)))
+    P, Q = np.triu_indices(d)
+    return np.einsum("kpt,kpt->pt", cols[:, P], cols[:, Q])
+
+
+class TestSlicePlan:
+    """The cached plan changes no random number, and for T > 1 no summation
+    order: einsum added the k terms of a pair in ascending k, as the plan
+    does. With one draw einsum added three or more terms in SIMD lanes, so
+    one-draw sums may differ from it in the last bits."""
+
+    @pytest.mark.parametrize("T", [1, 37, 1000])
+    @pytest.mark.parametrize("L,d", [(10, 3), (3, 3), (2, 3), (1, 3), (7, 2), (1, 1), (3, 5),
+                                     (10**9, 3), (4, 9)])
+    def test_same_sums_as_the_gathered_einsum(self, L, d, T):
+        for seed in range(5):
+            new = draw_slices(np.random.default_rng([seed, d, T]), T, L, d).sums
+            old = _draw_slices_reference(np.random.default_rng([seed, d, T]), T, L, d)
+            if T > 1:
+                assert np.array_equal(new, old)
+            else:
+                np.testing.assert_allclose(new, old, rtol=4 * np.finfo(float).eps,
+                                           atol=4 * np.finfo(float).eps * np.abs(old).max())
+
+    def test_plan_built_once_per_shape(self):
+        rng = np.random.default_rng(0)
+        draw_slices(rng, 5, 6, 4)
+        before = attack._slice_plan.cache_info()
+        draw_slices(rng, 9, 6, 4)
+        after = attack._slice_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 class TestRunAttack:
     @pytest.mark.parametrize("objective", ["fd", "sfd", "nonbayes"])
     def test_slices_drawn_through_the_module_on_every_pass(self, monkeypatch, objective):
@@ -502,6 +547,30 @@ class TestRunAttack:
         assert [c.iteration for c in trace.checkpoints] == [0, 10, 20, 25]
         assert trace.checkpoints[0].errors is not None
         assert "total_mass" in trace.checkpoints[0].errors
+
+    def test_moments_computed_once_per_stats(self, monkeypatch):
+        # the target is fixed, and the trace rows read every checkpoint's
+        # moments again after stat_errors did: each ReconStats computes
+        # its moments once
+        computed = []
+        compute = ReconStats.__dict__["moments"].func
+
+        def counting(stats):
+            computed.append(stats)
+            return compute(stats)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(ReconStats, "moments")
+        monkeypatch.setattr(ReconStats, "moments", counted)
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((3, 1))
+        draws = exact_gaussian_mean_draws(X, 20, seed=22)
+        cfg = AttackConfig(objective="fd", M=2, iters=25, seed=23, trace_every=5)
+        trace, _ = run_attack(GaussianMeanLocation(1), cfg, draws=draws, target_points=X)
+        rows = list(trace.rows())
+        assert len(rows) == len(trace.checkpoints) == 6
+        assert len(computed) == 1 + len(rows)
+        assert len({id(stats) for stats in computed}) == len(computed)
 
     def test_divergence_at_the_last_step_is_raised(self):
         # one Adam step of 1e200 leaves a measure whose objective overflows:

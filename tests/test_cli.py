@@ -67,6 +67,24 @@ class TestSampleCommand:
         assert result.exit_code == 0, result.output
         assert "acceptance rate" in result.output
 
+    def test_output_dir_that_is_a_file_rejected_before_sampling(self, runner, tmp_path,
+                                                                monkeypatch):
+        _, data_path = _gaussian_dataset(tmp_path)
+        before = (tmp_path / "data.csv").read_bytes()
+        monkeypatch.setattr(cli, "exact_gaussian_mean_draws",
+                            lambda *args: pytest.fail("sampled before checking output.dir"))
+        cfg = _write_config(tmp_path / "cfg.json", {
+            "model": {"name": "gaussian_mean", "dim": 2},
+            "data": {"path": data_path},
+            "sampler": {"kind": "exact", "T": 30, "seed": 1},
+            "output": {"dir": data_path},
+        })
+        result = runner.invoke(main, ["sample", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error: output.dir {data_path} cannot be made: "
+                                 f"{data_path} is not a directory\n")
+        assert (tmp_path / "data.csv").read_bytes() == before
+
     def test_unknown_config_key_exits_2(self, runner, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", {
             "model": {"name": "gaussian_mean", "dimension": 2},
@@ -431,6 +449,9 @@ BAD_ATTACK_INPUTS = [
     ("data_path_number", _bayes_cfg, "data", "path", 5),
     ("sampler_path_number", _file_draws_cfg, "sampler", "path", 5),
     ("output_dir_number", _bayes_cfg, "output", "dir", 5),
+    # an existing file, and a path under one: rejected before the sampler runs
+    ("output_dir_is_a_file", _bayes_cfg, "output", "dir", "/dev/null"),
+    ("output_dir_under_a_file", _bayes_cfg, "output", "dir", "/dev/null/out"),
     ("trace_target_string", _bayes_cfg, "attack", "trace_target", "no"),
     ("lr_w_beyond_float_range", _nonbayes_cfg, "attack", "lr_w", 2**1024),
     ("step_scale_beyond_float_range", _bayes_cfg, "sampler", "step_scale", 10**400),

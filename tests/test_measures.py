@@ -119,7 +119,7 @@ class TestColumns:
         names, values = zip(*s.columns())
         assert names == ("total_mass", "mean_c1", "var_c1", "mean_c2", "var_c2",
                          "gram_0_0", "gram_0_1", "gram_1_1", "xy_0", "xy_1", "yy")
-        assert values == (s.total_mass, *s.moments().values(),
+        assert values == (s.total_mass, *s.moments.values(),
                           *s.weighted_gram[np.triu_indices(2)], *s.weighted_xy, s.weighted_yy)
 
     def test_no_y_columns_without_y(self):
@@ -161,7 +161,7 @@ class TestStatErrors:
     def test_two_point_variance_derivation(self):
         layout = Layout(p=1, x_idx=(0,))
         s = recon_statistics(build_measure([(0.0,), (2.0,)], (1.0, 1.0)), layout)
-        moments = s.moments()
+        moments = s.moments
         assert moments["mean_c0"] == pytest.approx(1.0)
         assert moments["var_c0"] == pytest.approx(1.0)
 

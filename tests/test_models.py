@@ -335,6 +335,53 @@ class TestFiniteDifferenceAudit:
 LIKELIHOOD_MODELS = [(n, m) for n, m in ALL_MODELS if hasattr(m, "phi")]
 
 
+def _monomial_reference(row, E):
+    """prod_c z_c^E_kc of one row, each power by repeated multiplication from
+    1.0 and the product taken in coordinate order, as ``_monomials`` does."""
+    def power(x, e):
+        out = 1.0
+        for _ in range(e):
+            out *= x
+        return out
+
+    out = np.array([power(row[0], e) for e in E[:, 0]])
+    for c in range(1, E.shape[1]):
+        out *= [power(row[c], e) for e in E[:, c]]
+    return out
+
+
+class TestFeaturesAndJacobianInOneCall:
+    """``phi_and_jac`` is the call the objectives make; it must give exactly
+    what ``phi`` and ``phi_jac`` give."""
+
+    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
+                             ids=[n for n, _ in LIKELIHOOD_MODELS])
+    @pytest.mark.parametrize("want_jac", [True, False])
+    def test_equals_phi_and_phi_jac(self, name, model, want_jac):
+        points = _layout_points(model, 7, np.random.default_rng(zlib.crc32(name.encode())))
+        phi, jac = model.phi_and_jac(points, want_jac)
+        assert np.array_equal(phi, model.phi(points))
+        if want_jac:
+            assert np.array_equal(jac, model.phi_jac(points))
+        else:
+            assert jac is None
+
+    @pytest.mark.parametrize("name,model", [(n, m) for n, m in LIKELIHOOD_MODELS
+                                            if hasattr(m, "_E")],
+                             ids=[n for n, m in LIKELIHOOD_MODELS if hasattr(m, "_E")])
+    def test_regression_features_from_one_power_table(self, name, model):
+        # the regression models derive phi and phi_jac from phi_and_jac, so
+        # check it bitwise against monomials built one entry at a time
+        points = _layout_points(model, 5, np.random.default_rng(zlib.crc32(name.encode())))
+        phi, jac = model.phi_and_jac(points, True)
+        E, f = model._E, len(model._free)
+        for m, row in enumerate(points[:, model._free]):
+            assert np.array_equal(phi[m], _monomial_reference(row, E))
+            for c in range(f):
+                lowered = np.maximum(E - np.eye(f, dtype=int)[c], 0)
+                assert np.array_equal(jac[m, :, c], E[:, c] * _monomial_reference(row, lowered))
+
+
 class TestFixedHessianBroadcast:
     """A Hessian block fixed over theta is handed out as one broadcast view,
     by the model and through PosteriorCoefficients: writing out T copies of
