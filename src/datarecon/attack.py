@@ -86,15 +86,23 @@ class AdamState:
 def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
                 lr: np.ndarray) -> np.ndarray:
     """One Adam step with bias correction; ``lr`` may be a per-parameter
-    vector (used here for separate weight / pseudo-data rates)."""
+    vector (used here for separate weight / pseudo-data rates). The moments
+    ``state.m`` and ``state.v`` are updated in place; ``params`` is left as
+    it is and the new parameters are returned."""
     if params.shape != grads.shape or state.m.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads**2
-    m_hat = state.m / (1 - ADAM_BETA1**state.step)
-    v_hat = state.v / (1 - ADAM_BETA2**state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * np.square(grads)
+    den = np.sqrt(np.divide(v, 1 - ADAM_BETA2**state.step))
+    den += ADAM_EPS
+    delta = np.divide(m, 1 - ADAM_BETA1**state.step)
+    delta *= lr
+    delta /= den
+    return params - delta
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,19 +217,24 @@ def _evaluator(objective, model, draws, theta_star):
     takes slices in sfd mode only.
 
     Every mode depends on the measure only through the feature sum
-    Phi = w @ phi(Z). ``features`` gives phi (M, K) and its data Jacobian
-    (M, K, p_free), which fd/sfd build only on request; ``head`` maps Phi to
-    the value and its gradient g in Phi. fd/sfd: phi is the model's features
-    (``phi_and_jac``) and the head is the posterior coefficients. nonbayes:
-    phi(z) = grad_theta loss(theta*, z) and the value is |G|^2 with
-    G = reg_grad(theta*) + Phi, so g = 2G.
+    Phi = w @ phi(Z). ``features`` gives phi (M, K) and the pullback
+    g -> g^T dphi/dz_m (M, p_free) through the free data coordinates; ``head``
+    maps Phi to the value and its gradient g in Phi. fd/sfd: phi is the
+    model's features (``phi_and_jac``, whose Jacobian is built only on
+    request) and the head is the posterior coefficients. nonbayes:
+    phi(z) = grad_theta loss(theta*, z) (``grad_and_pullback``) and the value
+    is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
     """
     check_model_fits(objective, model)
     sliced = objective == "sfd"
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
-        features = model.phi_and_jac
+
+        def features(points, want_jac):
+            phi, phi_jac = model.phi_and_jac(points, want_jac)
+            return phi, lambda g: np.einsum("mkp,k->mp", phi_jac, g)
+
         head = PosteriorCoefficients(model, draws.draws).value_and_grad
     else:
         if theta_star is None:
@@ -230,7 +243,7 @@ def _evaluator(objective, model, draws, theta_star):
         reg = model.reg_grad(theta_star)
 
         def features(points, want_jac):
-            return model.grad_and_jac_batch(theta_star, points)
+            return model.grad_and_pullback(theta_star, points)
 
         def head(Phi, slices):
             G = reg + Phi
@@ -241,11 +254,11 @@ def _evaluator(objective, model, draws, theta_star):
             raise ValueError("sfd objective requires slice directions" if sliced
                              else f"{objective} objective takes no slices")
         w = measure.weights
-        phi, phi_jac = features(measure.points, want_grads)
+        phi, pullback = features(measure.points, want_grads)
         value, g = head(w @ phi, slices)
         if not want_grads:
             return value, None, None
-        return value, phi @ g, w[:, None] * np.einsum("mkp,k->mp", phi_jac, g)
+        return value, phi @ g, w[:, None] * pullback(g)
 
     return evaluate
 
@@ -302,6 +315,7 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
     params = np.concatenate([measure.weights, measure.points[:, free_idx].ravel()])
     lr = np.concatenate([np.full(M, config.lr_w), np.full(M * pf, config.lr_z)])
     state = AdamState.zeros(len(params))
+    grads = np.empty(len(params))
 
     slice_rng = np.random.default_rng([config.seed, 1])
     target_stats = (None if target_points is None
@@ -319,7 +333,7 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
                   if config.objective == "sfd" else None)
         pts = measure.points.copy()
         pts[:, free_idx] = params[M:].reshape(M, pf)
-        meas = WeightedEmpiricalMeasure(params[:M].copy(), pts)
+        meas = WeightedEmpiricalMeasure(params[:M], pts)   # adam_update returns new params
         value, gw, gz = evaluate(meas, slices, not last)
         if not np.isfinite(value):
             raise AttackDiverged(it, trace, good)
@@ -329,5 +343,7 @@ def run_attack(model, config: AttackConfig, *, draws: PosteriorDraws | None = No
             errs = stat_errors(target_stats, stats) if target_stats is not None else None
             trace.checkpoints.append(Checkpoint(it, value, stats, errs))
         if not last:
-            params = adam_update(state, params, np.concatenate([gw, gz.ravel()]), lr)
+            grads[:M] = gw
+            grads[M:] = gz.reshape(-1)
+            params = adam_update(state, params, grads, lr)
     return trace, good

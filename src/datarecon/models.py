@@ -7,8 +7,8 @@ last entry holds the prior. The objectives work on these directly; the
 per-point log-likelihood and score kept here are the independent oracle for
 them.
 Loss models declare the per-datum loss, its parameter gradient and that
-gradient's data Jacobian. ``finite_difference_audit`` checks every analytic
-derivative against central differences.
+gradient's pullback through the data. ``finite_difference_audit`` checks
+every analytic derivative against central differences.
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ class DomainError(ValueError):
 
 
 def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; both branches are evaluated, then one kept
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --- feature maps ------------------------------------------------------------
@@ -331,7 +327,10 @@ class BayesLinReg(_RegressionLayouts, _GaussianRegression):
 
     def loglik_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
-        return np.column_stack([self._q(thetas), -0.5 * np.sum(thetas**2, axis=1)])
+        out = np.empty((len(thetas), self.n_features + 1))
+        out[:, :-1] = self._q(thetas)
+        out[:, -1] = -0.5 * np.sum(thetas**2, axis=1)
+        return out
 
     def score_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -410,9 +409,9 @@ class KidScoreModel(_GaussianRegression):
 
 class LossModel:
     """Contract for trained (non-Bayesian) models: per-datum loss
-    (``loss_batch``), its parameter gradient together with the data-Jacobian
-    of that gradient (``grad_and_jac_batch``), and a ridge regularizer. The
-    gradient alone (``grad_theta_batch``) is derived."""
+    (``loss_batch``), its parameter gradient together with the pullback of
+    that gradient through the data (``grad_and_pullback``), and a ridge
+    regularizer. The gradient alone (``grad_theta_batch``) is derived."""
 
     param_dim: int
     layout: Layout
@@ -421,11 +420,14 @@ class LossModel:
     def loss_batch(self, theta, points):            # (M,)
         raise NotImplementedError
 
-    def grad_and_jac_batch(self, theta, points):    # (M, d), (M, d, p_free)
+    def grad_and_pullback(self, theta, points):     # (M, d), g (d,) -> (M, p_free)
+        """The per-point gradients grad_theta l(theta, z_m) and a function
+        taking g to the vector-Jacobian products g^T d(grad_theta l)/dz_m
+        over the free data coordinates."""
         raise NotImplementedError
 
     def grad_theta_batch(self, theta, points):      # (M, d)
-        return self.grad_and_jac_batch(theta, points)[0]
+        return self.grad_and_pullback(theta, points)[0]
 
     def reg_value(self, theta) -> float:
         return self.ridge * float(np.sum(np.asarray(theta) ** 2))
@@ -456,10 +458,10 @@ class SquaredErrorLoss(_RegressionLayouts, LossModel):
     def loss_batch(self, theta, points):
         return -2.0 * self._lik.log_lik_batch(theta, points)
 
-    def grad_and_jac_batch(self, theta, points):
+    def grad_and_pullback(self, theta, points):
         A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0, :, :-1]
         phi, phi_jac = self._lik.phi_and_jac(points, True)
-        return -2.0 * phi @ A.T, -2.0 * np.einsum("dk,mkp->mdp", A, phi_jac)
+        return -2.0 * phi @ A.T, lambda g: -2.0 * np.einsum("mkp,k->mp", phi_jac, g @ A)
 
     def predict_mean(self, theta, x_part):
         return self._lik.predict_mean(theta, x_part)
@@ -477,31 +479,35 @@ class LogisticLoss(LossModel):
         self.layout = Layout(p=dim + 1, x_idx=tuple(range(dim)), y_idx=dim)
         self.ridge = number("ridge", ridge, positive=False)
 
-    def _parts(self, theta, points):
+    def _margins(self, theta, points):
         pts = np.asarray(points, dtype=float)
         x = pts[:, : self.param_dim]
         y = pts[:, self.param_dim]
-        z = y * (x @ np.asarray(theta, dtype=float))
-        s = _sigmoid(-z)
-        return x, y, z, s
+        tx = x @ np.asarray(theta, dtype=float)
+        return x, y, tx, y * tx
 
     def loss_batch(self, theta, points):
-        _, _, z, _ = self._parts(theta, points)
+        z = self._margins(theta, points)[3]
         return np.logaddexp(0.0, -z)
 
-    def grad_and_jac_batch(self, theta, points):
+    def grad_and_pullback(self, theta, points):
         theta = np.asarray(theta, dtype=float)
-        x, y, _, s = self._parts(theta, points)
-        ds = s * (1.0 - s)
-        M, d = x.shape
-        out = np.zeros((M, d, d + 1))
-        # d grad_i / d x_j = y^2 s(1-s) theta_j x_i - y s delta_ij
-        out[:, :, :d] = (y**2 * ds)[:, None, None] * x[:, :, None] * theta[None, None, :]
-        out[:, :, :d] -= (y * s)[:, None, None] * np.eye(d)[None, :, :]
-        # d grad_i / d y = -s x_i + y s(1-s) <theta, x> x_i
-        tx = x @ theta
-        out[:, :, d] = (-s + y * ds * tx)[:, None] * x
-        return -(y * s)[:, None] * x, out
+        x, y, tx, z = self._margins(theta, points)
+        s = _sigmoid(-z)
+        ys = y * s
+
+        def pullback(g):
+            # d grad_i / d x_j = y^2 s(1-s) theta_j x_i - y s delta_ij
+            # d grad_i / d y = -s x_i + y s(1-s) <theta, x> x_i
+            gx = x @ g
+            c = ys * (1.0 - s) * gx                   # y s(1-s) <g, x>
+            out = np.empty((len(x), self.param_dim + 1))
+            np.multiply.outer(y * c, theta, out=out[:, :-1])
+            out[:, :-1] -= ys[:, None] * g
+            out[:, -1] = c * tx - s * gx
+            return out
+
+        return -ys[:, None] * x, pullback
 
 
 # --- finite-difference audit ---------------------------------------------------
@@ -537,8 +543,9 @@ def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
     prior entry included, and phi -> phi_jac over the free data
     coordinates), plus the per-point score against differences of the
     log-likelihood (check ``score_theta``). For loss models: the parameter
-    gradient, the regularizer gradient and the data Jacobian. The step is
-    scaled per coordinate: h = h_scale * max(1, |coordinate|).
+    gradient, the regularizer gradient and the data Jacobian, rebuilt from
+    the pullbacks of the unit vectors. The step is scaled per coordinate:
+    h = h_scale * max(1, |coordinate|).
     """
     theta = np.asarray(theta, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -598,4 +605,7 @@ def _audit_loss(model, theta, x, h_scale, checks):
     checks["reg_grad"] = _rel_err(model.reg_grad(theta), num)
 
     jac_num = _central(grad, x, _steps(x, h_scale), model.layout.free_idx)
-    checks["jac_data"] = _rel_err(model.grad_and_jac_batch(theta, x[None, :])[1][0], jac_num)
+    # the Jacobian (d, p_free) rebuilt row by row from pullbacks of the unit vectors
+    pullback = model.grad_and_pullback(theta, x[None, :])[1]
+    jac = np.stack([pullback(e)[0] for e in np.eye(model.param_dim)])
+    checks["jac_data"] = _rel_err(jac, jac_num)

@@ -5,6 +5,9 @@ import pytest
 
 from datarecon import attack
 from datarecon.attack import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     AttackConfig,
     AttackDiverged,
@@ -55,6 +58,30 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             adam_update(AdamState.zeros(2), np.zeros(3), np.zeros(3), np.ones(3))
+
+    def test_matches_textbook_formula_bitwise(self):
+        # the in-place moment updates take the textbook operations in order
+        rng = np.random.default_rng(11)
+        n = 7
+        lr = rng.uniform(1e-4, 1e-1, n)
+        state = AdamState.zeros(n)
+        params = rng.standard_normal(n)
+        m, v, ref = np.zeros(n), np.zeros(n), params.copy()
+        for t in range(1, 301):
+            grads = rng.standard_normal(n) * rng.choice([1e-6, 1.0, 1e3], n)
+            before = params.copy()
+            new = adam_update(state, params, grads, lr)
+            np.testing.assert_array_equal(params, before)    # the argument is not written
+            params = new
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grads**2
+            m_hat = m / (1 - ADAM_BETA1**t)
+            v_hat = v / (1 - ADAM_BETA2**t)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.testing.assert_array_equal(params, ref)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.step == 300
 
     def test_converges_on_quadratic(self):
         state = AdamState.zeros(1)
@@ -255,12 +282,17 @@ class TestObjectiveGradients:
         slices = rng.standard_normal((20, 4, 3))
         assert _fd_gradcheck("sfd", model, m, draws=draws, slices=slices) < 1e-7
 
-    def test_nonbayes_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("model", [
+        SquaredErrorLoss.identity_with_intercept(1, ridge=0.3),
+        LogisticLoss(2, ridge=0.1),
+    ], ids=["squared_error", "logistic"])
+    def test_nonbayes_gradients_match_finite_differences(self, model):
         rng = np.random.default_rng(6)
-        model = SquaredErrorLoss.identity_with_intercept(1, ridge=0.3)
-        pts = np.column_stack([np.ones(4), rng.standard_normal((4, 2))])
+        layout = model.layout
+        pts = np.ones((4, layout.p))                 # frozen coordinates hold 1
+        pts[:, list(layout.free_idx)] = rng.standard_normal((4, layout.p_free))
         m = build_measure(pts, rng.standard_normal(4))
-        theta = rng.standard_normal(2)
+        theta = rng.standard_normal(model.param_dim)
         assert _fd_gradcheck("nonbayes", model, m, theta_star=theta) < 1e-7
 
     def test_fd_grad_z_vanishes_at_exact_reconstruction(self):

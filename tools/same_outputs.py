@@ -9,7 +9,12 @@ the same generated inputs, with one BLAS thread. The tool compares
 ``draws.csv``, ``trace.csv`` and ``measure.csv`` byte for byte,
 ``summary.json`` apart from its ``wall_s`` timings, and the stdout of
 ``datarecon verify``. It prints one line per file and exits 1 on any
-difference.
+difference. Under a numeric file that differs (the CSV files and
+``summary.json``) it prints, per column or JSON entry that differs, the
+largest relative difference |a - b| / max(|a|, |b|) and, where that exceeds
+``CLOSE`` = 1e-12, the largest magnitude among the values that do, so a
+change in the last bits, or one at a rounding floor near zero, can be told
+from a wrong result.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (21, 22)
+CLOSE = 1e-12
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
@@ -62,10 +70,57 @@ def outputs(tree: Path, workdir: Path, wl) -> dict[str, bytes]:
     return found
 
 
+def _numbers(key: str, data: bytes) -> dict[str, np.ndarray] | None:
+    """The numeric columns of a CSV file, or the numeric entries of
+    ``summary.json`` by their key path; None for any other output."""
+    if key.endswith(".csv"):
+        header, *rows = data.decode().splitlines()
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        return dict(zip(header.split(","), values.reshape(len(rows), -1).T))
+    if key.startswith("summary.json"):
+        found = {}
+
+        def walk(path, node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    walk(f"{path}.{k}" if path else k, v)
+            elif isinstance(node, list):
+                for i, v in enumerate(node):
+                    walk(f"{path}[{i}]", v)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found[path] = np.array([float(node)])
+
+        walk("", json.loads(data))
+        return found
+    return None
+
+
+def _report(key: str, ref: bytes, work: bytes) -> None:
+    """Print the largest relative difference per differing numeric column."""
+    a, b = _numbers(key, ref), _numbers(key, work)
+    if a is None or b is None or a.keys() != b.keys():
+        return
+    for name in a:
+        x, y = a[name], b[name]
+        if x.shape != y.shape:
+            print(f"             {name}: {len(x)} against {len(y)} values")
+            continue
+        differ = x != y
+        if not differ.any():
+            continue
+        size = np.maximum(np.abs(x[differ]), np.abs(y[differ]))
+        rel = np.abs(x[differ] - y[differ]) / size
+        far = "" if rel.max() <= CLOSE else (
+            f", beyond {CLOSE:g} only at |value| <= {size[rel > CLOSE].max():.2e}")
+        print(f"             {name}: largest relative difference {rel.max():.2e}{far}")
+
+
 def _line(label: str, ref: bytes | None, work: bytes | None) -> int:
     """Print one comparison; 1 if the two sides differ or REF has nothing."""
     same = ref is not None and ref == work
     print(f"{'identical' if same else 'DIFFERS  '}  {label}", flush=True)
+    if not same and ref is not None and work is not None:
+        _report(label.rsplit(": ", 1)[-1], ref, work)
     return int(not same)
 
 
