@@ -109,7 +109,8 @@ class LikelihoodModel:
     density is a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature
     sums of a measure. The statistic-space objective and the sampler are
     built from these; the objective asks for phi and phi_jac in one
-    ``phi_and_jac`` call, which a model may override. The per-point
+    ``phi_and_jac`` call and the sampler scores proposals with
+    ``log_density``; a model may override either. The per-point
     log-likelihood and score below use the first K entries only; they are
     the reference the objective and the audit compare against.
     """
@@ -156,6 +157,17 @@ class LikelihoodModel:
 
     def hess_coef(self, thetas):                      # (T, K+1, d, d)
         raise NotImplementedError
+
+    def log_density(self, phi1):                      # (B, d) -> (B,)
+        """The log density theta -> a(theta) . phi1 of the posterior with
+        feature sums and prior weight phi1 = (Phi, w), as a function of a
+        batch of rows: exactly -inf on rows outside the domain, which are
+        evaluated too and then masked (call it under ``np.errstate`` to
+        silence their warnings). Models may fold phi1 into a cheaper form
+        once here, for the sampler's many calls."""
+        phi1 = np.asarray(phi1, dtype=float)
+        return lambda thetas: np.where(self.in_domain(thetas),
+                                       self.loglik_coef(thetas) @ phi1, -np.inf)
 
     # per-point log-likelihood and score, the oracle for the objectives ------
     def log_lik_batch(self, theta, points):           # (M,)
@@ -291,6 +303,22 @@ class _GaussianRegression(LikelihoodModel):
     def _dq(self, beta):                              # (T, q, K)
         return (self._tilde(beta) @ self._dq_coef).reshape(len(beta), beta.shape[1], -1)
 
+    def _scatter(self, phi):                          # (q+1, q+1)
+        """The symmetric S with beta~^T S beta~ = q(beta) . phi: each pair's
+        weight in ``_pair_coef @ phi``, split evenly between S_ij and S_ji."""
+        w = self._pair_coef @ phi
+        w[self._I != self._J] *= 0.5
+        S = np.empty((self._I[-1] + 1,) * 2)
+        S[self._I, self._J] = S[self._J, self._I] = w
+        return S
+
+    @staticmethod
+    def _quadratic(S):
+        """beta -> beta~^T S beta~ over rows beta (B, q), with beta~ = (beta, -1)."""
+        A, b, c = S[:-1, :-1], 2.0 * S[:-1, -1], S[-1, -1]
+        ones = np.ones(len(b))
+        return lambda beta: ((beta @ A - b) * beta) @ ones + c
+
     def phi(self, points):
         return self.phi_and_jac(points, False)[0]
 
@@ -331,6 +359,12 @@ class BayesLinReg(_RegressionLayouts, _GaussianRegression):
         out[:, :-1] = self._q(thetas)
         out[:, -1] = -0.5 * np.sum(thetas**2, axis=1)
         return out
+
+    # the prior -|theta|^2 / 2 at weight w joins the scatter form's diagonal
+    def log_density(self, phi1):
+        S = self._scatter(phi1[:-1])
+        S[np.diag_indices(self.param_dim)] -= 0.5 * phi1[-1]
+        return self._quadratic(S)
 
     def score_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -378,6 +412,20 @@ class KidScoreModel(_GaussianRegression):
         out[:, :1] += -0.5 * np.log(2.0 * np.pi * s2)
         out[:, -1] = -np.log1p((s / self.prior_scale) ** 2)
         return out
+
+    # a . (Phi, w) = beta~^T S beta~ / s^2 + c(s) Phi_0 + w log prior(s)
+    def log_density(self, phi1):
+        quadratic = self._quadratic(self._scatter(phi1[:-1]))
+        half_n, w, g2 = 0.5 * phi1[0], phi1[-1], self.prior_scale**2
+
+        def f(thetas):
+            s = thetas[:, 2]
+            s2 = s * s
+            out = (quadratic(thetas[:, :2]) / s2 - half_n * np.log(2.0 * np.pi * s2)
+                   - w * np.log1p(s2 / g2))
+            return np.where(s > 0, out, -np.inf)
+
+        return f
 
     def score_coef(self, thetas):
         beta, s = self._split_theta(thetas)

@@ -58,17 +58,22 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     """Random-walk Metropolis chain targeting the posterior of ``model``
     given dataset ``X``. Proposals are isotropic Gaussian; proposals outside
     the model domain are auto-rejected. The dataset enters the likelihood
-    only through its feature sums, so it is reduced to them once and each
-    proposal costs O(K), not O(N); the prior is feature K+1 at weight 1.
+    only through its feature sums, so it is reduced to them once and the
+    model folds them, with the prior at weight 1, into its ``log_density``;
+    each proposal then costs O(K), not O(N). A proposal whose log density
+    overflows to +inf is rejected too: it holds no evidence, and accepting
+    it would stall the chain there.
 
     Every proposal made before the next acceptance starts from the current
     state, so the next ``RWM_BLOCK`` of them are scored in one batched call
     and the first accepted one is taken (pre-fetching along the all-reject
     branch). The random numbers are drawn step by step in the usual order,
     ``RWM_CHUNK`` steps at a time, so the accept/reject decisions, and thus
-    the draws, are those of the one-proposal-per-step chain (a batched
-    product may round a log posterior differently in the last bit, which
-    matters only for a uniform within that rounding of the threshold).
+    the draws, are those of the one-proposal-per-step chain. A model's
+    ``log_density`` may round a log posterior differently from its
+    coefficient map and from a per-point sum (the regression models use one
+    quadratic form in the data's scatter matrix); that matters only for a
+    uniform within that rounding of the acceptance threshold.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if config.init is None:
@@ -81,9 +86,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     n_steps = burn_in + config.T * thin
     rng = np.random.default_rng(config.seed)
     d = model.param_dim
-
-    def log_post(thetas):                              # (B, d) -> (B,)
-        return np.where(model.in_domain(thetas), model.loglik_coef(thetas) @ phi1, -np.inf)
+    log_post = model.log_density(phi1)                 # (B, d) -> (B,)
 
     def n_kept(step):                                  # draws kept before ``step``
         return max(step - burn_in, 0) // thin
@@ -93,6 +96,7 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
     since = 0                                          # step at which theta was set
     z = np.empty((RWM_CHUNK, d))
     u = np.empty(RWM_CHUNK)
+    normal, uniform = rng.standard_normal, rng.random
     # rows outside the domain are evaluated too, then masked to -inf
     with np.errstate(all="ignore"):
         lp = log_post(theta[None, :])[0]
@@ -101,8 +105,8 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
         for start in range(0, n_steps, RWM_CHUNK):
             n = min(RWM_CHUNK, n_steps - start)
             for i in range(n):
-                rng.standard_normal(out=z[i])
-                u[i] = rng.random()
+                normal(out=z[i])
+                u[i] = uniform()
             moves = config.step_scale * z[:n]
             log_u = np.log(u[:n])
             i = 0
@@ -113,6 +117,9 @@ def rwm_draws(model, X, config: SamplerConfig) -> PosteriorDraws:
                 j = int(accept.argmax())
                 if not accept[j]:
                     i += len(props)
+                    continue
+                if lp_props[j] == np.inf:
+                    i += j + 1
                     continue
                 kept[n_kept(since):n_kept(start + i + j)] = theta
                 theta, lp, since = props[j], lp_props[j], start + i + j

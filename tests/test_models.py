@@ -382,6 +382,50 @@ class TestFeaturesAndJacobianInOneCall:
                 assert np.array_equal(jac[m, :, c], E[:, c] * _monomial_reference(row, lowered))
 
 
+class TestLogDensity:
+    """``log_density`` is what the sampler scores proposals with; the
+    coefficient map contracted with (Phi, w) is its oracle."""
+
+    @staticmethod
+    def _phi1(model, rng):
+        # feature sums of a positively weighted measure, and a prior weight
+        points = _layout_points(model, 30, rng)
+        return np.append(rng.random(30) @ model.phi(points), 0.5 + rng.random())
+
+    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
+                             ids=[n for n, _ in LIKELIHOOD_MODELS])
+    def test_matches_coefficient_map(self, name, model):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        phi1 = self._phi1(model, rng)
+        thetas = np.array([_random_point(model, rng)[0] for _ in range(200)])
+        values = model.log_density(phi1)(thetas)
+        np.testing.assert_allclose(values, model.loglik_coef(thetas) @ phi1, rtol=1e-12, atol=0)
+
+    def test_outside_the_domain_is_minus_inf(self):
+        model = KidScoreModel()
+        rng = np.random.default_rng(21)
+        thetas = rng.standard_normal((40, 3))
+        thetas[:10, 2] = 0.0
+        thetas[10:20, 2] = -np.abs(thetas[10:20, 2])
+        thetas[20:, 2] = 0.5 + rng.random(20)
+        with np.errstate(all="ignore"):                 # sigma = 0 divides by zero
+            values = model.log_density(self._phi1(model, rng))(thetas)
+        assert np.all(values[:20] == -np.inf)
+        assert np.all(np.isfinite(values[20:]))
+
+    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
+                             ids=[n for n, _ in LIKELIHOOD_MODELS])
+    def test_overflow_never_gives_plus_inf(self, name, model):
+        # rows far enough out that squares overflow: -inf or nan, which the
+        # sampler's test rejects, but never +inf
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        f = model.log_density(self._phi1(model, rng))
+        for scale in (1e152, 1e154, 1e160, 1e300):
+            thetas = scale * rng.standard_normal((5000, model.param_dim))
+            with np.errstate(all="ignore"):
+                assert not np.any(f(thetas) == np.inf), scale
+
+
 class TestFixedHessianBroadcast:
     """A Hessian block fixed over theta is handed out as one broadcast view,
     by the model and through PosteriorCoefficients: writing out T copies of

@@ -101,6 +101,26 @@ class TestRwm:
         draws = rwm_draws(GaussianMeanLocation(1), X, cfg)
         assert np.max(np.abs(draws.draws - 5.0)) < 1e-5
 
+    def test_plus_inf_density_rejected(self):
+        # a proposal whose log density overflows to +inf is rejected, as one
+        # outside the domain is, instead of stalling the chain there
+        class Capped(GaussianMeanLocation):
+            def __init__(self, fill):
+                super().__init__(1)
+                self.fill = fill
+
+            def log_density(self, phi1):
+                f = super().log_density(phi1)
+                return lambda thetas: np.where(thetas[:, 0] > 0.5, self.fill, f(thetas))
+
+        X = np.array([[0.5], [1.5]])
+        cfg = SamplerConfig(T=300, step_scale=0.7, seed=17, init=(0.0,))
+        a = rwm_draws(Capped(np.inf), X, cfg)
+        b = rwm_draws(Capped(-np.inf), X, cfg)
+        np.testing.assert_array_equal(a.draws, b.draws)
+        assert a.acceptance_rate == b.acceptance_rate > 0.1
+        assert a.draws.max() <= 0.5
+
     @pytest.mark.parametrize("name", ["kidscore", "bayes_linreg_poly"])
     def test_feature_sum_chain_matches_per_point_chain(self, name):
         # the chain evaluates the likelihood from the data's feature sums;
@@ -133,7 +153,9 @@ def _step_by_step_chain(model, X, cfg):
     def log_post(t):
         if not model.in_domain(t[None, :]):
             return -np.inf
-        return float(np.sum(model.log_lik_batch(t, X))) + model.loglik_coef(t[None, :])[0, -1]
+        # extreme step sizes overflow here, which is not an error for the reference
+        with np.errstate(all="ignore"):
+            return float(np.sum(model.log_lik_batch(t, X))) + model.loglik_coef(t[None, :])[0, -1]
 
     burn_in = 10 * cfg.T if cfg.burn_in is None else cfg.burn_in
     thin = max(cfg.thinning, 1)
@@ -160,7 +182,7 @@ class TestBlockedChain:
 
     @pytest.mark.parametrize("name", ["gaussian_mean", "kidscore", "bayes_linreg_poly"])
     @pytest.mark.parametrize("case", ["chunks", "no_burn_in_thin0", "no_burn_in_thin1",
-                                      "rejects", "accepts"])
+                                      "rejects", "accepts", "overflow", "underflow"])
     def test_matches_step_by_step_chain(self, name, case):
         model, X, init = _chain_problem(name)
         settings = {
@@ -170,6 +192,9 @@ class TestBlockedChain:
             "no_burn_in_thin1": dict(T=300, burn_in=0, thinning=1, step_scale=0.2),
             "rejects": dict(T=150, burn_in=100, thinning=2, step_scale=2.0),
             "accepts": dict(T=150, burn_in=100, thinning=2, step_scale=1e-8),
+            # proposals whose squares overflow, and proposals that round to the state
+            "overflow": dict(T=150, burn_in=100, thinning=2, step_scale=1e300),
+            "underflow": dict(T=150, burn_in=100, thinning=2, step_scale=1e-300),
         }[case]
         cfg = SamplerConfig(seed=16, init=init, **settings)
         draws = rwm_draws(model, X, cfg)
@@ -183,6 +208,11 @@ class TestBlockedChain:
             assert rate < 0.05
         elif case == "accepts":
             assert rate > 0.99
+        elif case == "overflow":
+            assert rate == 0.0
+        elif case == "underflow":
+            assert rate == 1.0
+        assert np.all(np.isfinite(draws.draws))
 
 
 class TestSamplerConfig:

@@ -13,7 +13,12 @@ alternating from run to run. One run of a side times
 - ``draw_slices`` at the run's (T, L, d), per call (sfd workloads);
 - the model's features and their Jacobian at the attack's initial measure,
   per call (fd and sfd workloads): ``phi_and_jac`` where the tree has it,
-  else ``phi`` and ``phi_jac``.
+  else ``phi`` and ``phi_jac``;
+- the posterior draws, per call (fd and sfd workloads): ``_get_draws``,
+  which reads the data CSV and runs the workload's RWM chain. Every call's
+  draws must equal, bit for bit, those both sides drew at set-up, and the
+  two sides' set-up draws must equal each other; the script stops with an
+  error otherwise.
 
 It prints, per figure, each side's median and quartiles over the runs and
 how many paired runs the working tree won. BLAS runs on one thread.
@@ -70,7 +75,7 @@ class Side:
         load_package(alias, src)
         self.cli = importlib.import_module(f"{alias}.cli")
         self.attack = importlib.import_module(f"{alias}.attack")
-        cfg = self.cli.load_config(wl.write(workdir))
+        self.cfg = cfg = self.cli.load_config(wl.write(workdir))
         cfg["data"]["path"] = str(workdir / cfg["data"]["path"])
         self.model = self.cli.build_model(cfg["model"])
         settings = dict(cfg["attack"])
@@ -100,6 +105,14 @@ class Side:
             self.attack.draw_slices(rng, *args)
         return (time.perf_counter() - t0) / SLICE_CALLS * 1e6
 
+    def rwm_draws_ms(self) -> float:
+        t0 = time.perf_counter()
+        draws, _ = self.cli._get_draws(self.cfg, self.model)
+        ms = (time.perf_counter() - t0) * 1e3
+        if not np.array_equal(draws.draws, self.draws.draws):
+            raise SystemExit(f"{self.cli.__name__}: a rerun drew different posterior draws")
+        return ms
+
     def features_us(self) -> float:
         model, points = self.model, self.points
         both = getattr(model, "phi_and_jac", None)
@@ -121,6 +134,7 @@ def main() -> int:
     figures = [("run_attack iter/s", "iters_per_s", True)]
     if wl.bayesian:
         figures.append(("features us/call", "features_us", False))
+        figures.append(("rwm_draws ms", "rwm_draws_ms", False))
     if wl.config["attack"]["objective"] == "sfd":
         figures.append(("draw_slices us/call", "draw_slices_us", False))
 
@@ -129,6 +143,9 @@ def main() -> int:
         export(args.against, ref_tree)
         sides = {"ref": Side("datarecon_ref", ref_tree / "src", wl, Path(tmp) / "ref_run"),
                  "work": Side("datarecon_work", ROOT / "src", wl, Path(tmp) / "work_run")}
+        if wl.bayesian and not np.array_equal(sides["ref"].draws.draws,
+                                              sides["work"].draws.draws):
+            raise SystemExit(f"the posterior draws differ from {args.against}'s")
         found = {name: {side: [] for side in sides} for _, name, _ in figures}
         for run in range(args.runs):
             order = ("ref", "work") if run % 2 == 0 else ("work", "ref")
