@@ -217,33 +217,27 @@ def _evaluator(objective, model, draws, theta_star):
     takes slices in sfd mode only.
 
     Every mode depends on the measure only through the feature sum
-    Phi = w @ phi(Z). ``features`` gives phi (M, K) and the pullback
-    g -> g^T dphi/dz_m (M, p_free) through the free data coordinates; ``head``
-    maps Phi to the value and its gradient g in Phi. fd/sfd: phi is the
-    model's features (``phi_and_jac``, whose Jacobian is built only on
-    request) and the head is the posterior coefficients. nonbayes:
-    phi(z) = grad_theta loss(theta*, z) (``grad_and_pullback``) and the value
-    is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
+    Phi = w @ phi(Z). ``features(points)`` gives phi (M, K) and the pullback
+    g -> g^T dphi/dz_m (M, p_free) through the free data coordinates, whose
+    work runs only if it is called; ``head`` maps Phi to the value and its
+    gradient g in Phi. fd/sfd: phi is the model's features
+    (``phi_and_pullback``) and the head is the posterior coefficients.
+    nonbayes: phi(z) = grad_theta loss(theta*, z) (``grad_and_pullback`` at
+    theta*) and the value is |G|^2 with G = reg_grad(theta*) + Phi, so g = 2G.
     """
     check_model_fits(objective, model)
     sliced = objective == "sfd"
     if objective in ("fd", "sfd"):
         if draws is None:
             raise ValueError(f"{objective} objective requires posterior draws")
-
-        def features(points, want_jac):
-            phi, phi_jac = model.phi_and_jac(points, want_jac)
-            return phi, lambda g: np.einsum("mkp,k->mp", phi_jac, g)
-
+        features = model.phi_and_pullback
         head = PosteriorCoefficients(model, draws.draws).value_and_grad
     else:
         if theta_star is None:
             raise ValueError("nonbayes objective requires released parameters")
         theta_star = np.asarray(theta_star, dtype=float).ravel()
         reg = model.reg_grad(theta_star)
-
-        def features(points, want_jac):
-            return model.grad_and_pullback(theta_star, points)
+        features = functools.partial(model.grad_and_pullback, theta_star)
 
         def head(Phi, slices):
             G = reg + Phi
@@ -254,7 +248,7 @@ def _evaluator(objective, model, draws, theta_star):
             raise ValueError("sfd objective requires slice directions" if sliced
                              else f"{objective} objective takes no slices")
         w = measure.weights
-        phi, pullback = features(measure.points, want_grads)
+        phi, pullback = features(measure.points)
         value, g = head(w @ phi, slices)
         if not want_grads:
             return value, None, None

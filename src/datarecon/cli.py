@@ -185,6 +185,10 @@ def _get_draws(cfg: dict, model) -> tuple[PosteriorDraws, np.ndarray | None]:
         if draws.dim != model.param_dim:
             raise ValueError(f"sampler.path {path} has {draws.dim} columns, "
                              f"model expects {model.param_dim}")
+        try:
+            model.check_draws(draws.draws)
+        except ValueError as exc:
+            raise ValueError(f"sampler.path {path}: {exc}") from None
         return draws, None
     if kind == "exact" and not isinstance(model, GaussianMeanLocation):
         raise ValueError("sampler.kind 'exact' is only available for gaussian_mean")

@@ -1,14 +1,14 @@
 """Likelihood and loss models with analytic derivatives.
 
 Every likelihood model factorises its log-likelihood as a(theta)^T phi(z)
-over a short feature vector phi and declares only the primitives: phi, its
-data Jacobian and the coefficient maps a, da/dtheta and d2a/dtheta2, whose
-last entry holds the prior. The objectives work on these directly; the
-per-point log-likelihood and score kept here are the independent oracle for
-them.
-Loss models declare the per-datum loss, its parameter gradient and that
-gradient's pullback through the data. ``finite_difference_audit`` checks
-every analytic derivative against central differences.
+over a short feature vector phi and declares only the primitives: phi with
+its pullback through the data, and the coefficient maps a, da/dtheta and
+d2a/dtheta2, whose last entry holds the prior. The objectives work on these
+directly; the per-point log-likelihood and score kept here are their oracle.
+Loss models declare the per-datum loss, and its parameter gradient with that
+gradient's pullback through the data: the same feature contract, with
+phi(z) = grad_theta l(theta, z). ``finite_difference_audit`` checks every
+analytic derivative against central differences.
 """
 
 from __future__ import annotations
@@ -101,16 +101,16 @@ class LikelihoodModel:
     """Contract: a log-likelihood that factorises as a(theta)^T phi(z) over a
     short vector of K data features phi.
 
-    A model declares the primitives ``phi`` and ``phi_jac`` (features and
-    their Jacobian over the free data coordinates) and the coefficient maps
-    ``loglik_coef`` (a), ``score_coef`` (A = da/dtheta) and ``hess_coef``
-    (B = d2a/dtheta2). Each map has K+1 entries: the last holds the prior's
-    log density, score and Hessian, so the weighted pseudo-posterior's log
-    density is a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature
-    sums of a measure. The statistic-space objective and the sampler are
-    built from these; the objective asks for phi and phi_jac in one
-    ``phi_and_jac`` call and the sampler scores proposals with
-    ``log_density``; a model may override either. The per-point
+    A model declares the primitive ``phi_and_pullback`` (the features and
+    their pullback through the free data coordinates, as a loss model's
+    ``grad_and_pullback``) and the coefficient maps ``loglik_coef`` (a),
+    ``score_coef`` (A = da/dtheta) and ``hess_coef`` (B = d2a/dtheta2). Each
+    map has K+1 entries: the last holds the prior's log density, score and
+    Hessian, so the weighted pseudo-posterior's log density is
+    a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature sums of a
+    measure. The statistic-space objective and the sampler are built from
+    these; the sampler scores proposals with ``log_density``, which a model
+    may override. ``phi`` and ``phi_jac`` are derived. The per-point
     log-likelihood and score below use the first K entries only; they are
     the reference the objective and the audit compare against.
     """
@@ -138,16 +138,10 @@ class LikelihoodModel:
         return self.check_draws(np.ravel(theta))[0]
 
     # primitives, implemented per model ---------------------------------------
-    def phi(self, points):                            # (M, K)
+    def phi_and_pullback(self, points):               # (M, K), g (K,) -> (M, p_free)
+        """The features phi(z_m), and g -> g^T dphi/dz_m over the free data
+        coordinates: the Jacobian's work runs only when that is called."""
         raise NotImplementedError
-
-    def phi_jac(self, points):                        # (M, K, p_free)
-        raise NotImplementedError
-
-    def phi_and_jac(self, points, want_jac):          # phi, and phi_jac or None
-        """``phi`` and, if ``want_jac``, ``phi_jac`` of the same points in one
-        call, for models that share work between the two."""
-        return self.phi(points), self.phi_jac(points) if want_jac else None
 
     def loglik_coef(self, thetas):                    # (T, K+1)
         raise NotImplementedError
@@ -168,6 +162,14 @@ class LikelihoodModel:
         phi1 = np.asarray(phi1, dtype=float)
         return lambda thetas: np.where(self.in_domain(thetas),
                                        self.loglik_coef(thetas) @ phi1, -np.inf)
+
+    def phi(self, points):                            # (M, K)
+        return self.phi_and_pullback(points)[0]
+
+    # the pullbacks of the K unit vectors, stacked: for the audit and the tests
+    def phi_jac(self, points):                        # (M, K, p_free)
+        phi, pullback = self.phi_and_pullback(points)
+        return np.stack([pullback(e) for e in np.eye(phi.shape[1])], axis=1)
 
     # per-point log-likelihood and score, the oracle for the objectives ------
     def log_lik_batch(self, theta, points):           # (M,)
@@ -210,17 +212,12 @@ class GaussianMeanLocation(LikelihoodModel):
         self._hess = np.zeros((d + 3, d, d))          # fixed over theta
         self._hess[[0, -1]] = -np.eye(d)
 
-    def phi(self, points):
-        x = np.asarray(points, dtype=float)
-        return np.column_stack([np.ones(len(x)), x, np.sum(x**2, axis=1)])
-
-    def phi_jac(self, points):
+    # dphi/dx is (0, I, 2x), so g^T dphi/dx = g_x + 2 x g_{d+1}
+    def phi_and_pullback(self, points):
         x = np.asarray(points, dtype=float)
         d = self.param_dim
-        out = np.zeros((len(x), d + 2, d))
-        out[:, 1:d + 1, :] = np.eye(d)
-        out[:, d + 1, :] = 2.0 * x
-        return out
+        phi = np.column_stack([np.ones(len(x)), x, np.sum(x**2, axis=1)])
+        return phi, lambda g: g[1:d + 1] + 2.0 * x * g[d + 1]
 
     def loglik_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -319,22 +316,17 @@ class _GaussianRegression(LikelihoodModel):
         ones = np.ones(len(b))
         return lambda beta: ((beta @ A - b) * beta) @ ones + c
 
-    def phi(self, points):
-        return self.phi_and_jac(points, False)[0]
-
-    def phi_jac(self, points):
-        return self.phi_and_jac(points, True)[1]
-
     # one table of powers serves both: the lowered exponents of the
     # Jacobian never exceed the features' own
-    def phi_and_jac(self, points, want_jac):
+    def phi_and_pullback(self, points):
         z = np.asarray(points)[:, self._free]
         powers = _powers(z, self._E.max())
-        phi = _monomials(powers, self._E)
-        if not want_jac:
-            return phi, None
-        lowered = _monomials(powers, self._jac_E).reshape(len(z), len(self._free), -1)
-        return phi, (self._E.T * lowered).transpose(0, 2, 1)
+
+        def pullback(g):
+            lowered = _monomials(powers, self._jac_E).reshape(len(z), len(self._free), -1)
+            return np.einsum("mkp,k->mp", (self._E.T * lowered).transpose(0, 2, 1), g)
+
+        return _monomials(powers, self._E), pullback
 
     def predict_mean(self, theta, x_part):
         exps = self.features.exponents
@@ -385,8 +377,14 @@ class KidScoreModel(_GaussianRegression):
     half-line Cauchy prior (configurable scale) on sigma.
     """
 
+    # the prior's Hessian entry forms scale^4, which must stay in float range
+    MAX_PRIOR_SCALE = 1e75
+
     def __init__(self, prior_scale: float = 2.5):
         self.prior_scale = number("prior_scale", prior_scale)
+        if prior_scale > self.MAX_PRIOR_SCALE:
+            raise ValueError(f"prior_scale must be at most {self.MAX_PRIOR_SCALE:g}, "
+                             f"got {prior_scale!r}")
         self.param_dim = 3
         super().__init__(IdentityFeatures(2), Layout(
             p=3, x_idx=(0, 1), y_idx=2, frozen_idx=(0,),
@@ -508,8 +506,8 @@ class SquaredErrorLoss(_RegressionLayouts, LossModel):
 
     def grad_and_pullback(self, theta, points):
         A = self._lik.score_coef(np.atleast_2d(np.asarray(theta, dtype=float)))[0, :, :-1]
-        phi, phi_jac = self._lik.phi_and_jac(points, True)
-        return -2.0 * phi @ A.T, lambda g: -2.0 * np.einsum("mkp,k->mp", phi_jac, g @ A)
+        phi, pullback = self._lik.phi_and_pullback(points)
+        return -2.0 * phi @ A.T, lambda g: -2.0 * pullback(g @ A)
 
     def predict_mean(self, theta, x_part):
         return self._lik.predict_mean(theta, x_part)
@@ -591,8 +589,8 @@ def finite_difference_audit(model, theta, x, h_scale: float = 1e-5,
     prior entry included, and phi -> phi_jac over the free data
     coordinates), plus the per-point score against differences of the
     log-likelihood (check ``score_theta``). For loss models: the parameter
-    gradient, the regularizer gradient and the data Jacobian, rebuilt from
-    the pullbacks of the unit vectors. The step is scaled per coordinate:
+    gradient, the regularizer gradient and the data Jacobian. Data Jacobians
+    are rebuilt from unit-vector pullbacks. The step is scaled per coordinate:
     h = h_scale * max(1, |coordinate|).
     """
     theta = np.asarray(theta, dtype=float).ravel()

@@ -490,6 +490,9 @@ BAD_ATTACK_INPUTS = [
     # inside the domain, but sigma = 1e-300 overflows the log likelihood
     ("sampler_init_zero_posterior", lambda tmp_path, _: _kidscore_cfg(tmp_path),
      "sampler", "init", [0.0, 0.0, 1e-300]),
+    # scale^2 overflows a float: rejected before the sampler runs
+    ("kidscore_prior_scale_huge", lambda tmp_path, _: _kidscore_cfg(tmp_path),
+     "model", "prior_scale", 1e200),
     # a Bayesian attack starts its regression responses from theta_star if given
     ("bayes_theta_star_too_short", lambda tmp_path, _: _kidscore_cfg(tmp_path),
      "attack", "theta_star", [1.0, 2.0]),
@@ -616,6 +619,19 @@ class TestAttackDataHandling:
         assert result.exit_code == 2, (result.output, result.exception)
         lines = result.output.strip().splitlines()
         assert lines == [f"error: {key} {wide} has 3 columns, model expects 2"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "attack"])
+    def test_draws_file_outside_the_domain_is_one_line_error(self, runner, tmp_path, command):
+        draws = tmp_path / "draws.csv"
+        write_rows(draws, ("beta_0", "beta_1", "sigma"), [[0.1, 0.2, 1.0], [0.1, 0.2, -1.0]])
+        cfg_dict = _kidscore_cfg(tmp_path)
+        cfg_dict["sampler"] = {"kind": "file", "path": str(draws)}
+        result = runner.invoke(main, [command, "--config",
+                                      _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.output.strip().splitlines() == [
+            f"error: sampler.path {draws}: a parameter vector lies outside the model domain"]
         assert not (tmp_path / "out").exists()
 
     def test_file_sampler_attacks_like_the_sampler_that_wrote_it(self, runner, tmp_path):

@@ -312,16 +312,22 @@ class TestFiniteDifferenceAudit:
         ("score_batch", "score_theta"),
         ("score_coef", "score_coef"),
         ("hess_coef", "hess_coef"),
-        ("phi_jac", "phi_jac"),
+        ("phi_and_pullback", "phi_jac"),
         ("hess_coef_prior", "hess_coef"),
     ])
     def test_corrupted_score_detected(self, method, check):
-        # +0.1 on the whole output, or on B's last row (the prior Hessian) only
+        # +0.1 on the whole output, or on B's last row (the prior Hessian)
+        # only; for the features, on the output of their pullback, the path
+        # the attack takes
         name = method.removesuffix("_prior")
         rows = np.s_[:] if name == method else np.s_[:, -1]
 
         def corrupted(self, *args):
-            out = np.array(getattr(GaussianMeanLocation, name)(self, *args))
+            out = getattr(GaussianMeanLocation, name)(self, *args)
+            if name == "phi_and_pullback":
+                phi, pullback = out
+                return phi, lambda g: pullback(g) + 0.1
+            out = np.array(out)
             out[rows] += 0.1
             return out
 
@@ -350,36 +356,42 @@ def _monomial_reference(row, E):
     return out
 
 
-class TestFeaturesAndJacobianInOneCall:
-    """``phi_and_jac`` is the call the objectives make; it must give exactly
-    what ``phi`` and ``phi_jac`` give."""
-
-    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
-                             ids=[n for n, _ in LIKELIHOOD_MODELS])
-    @pytest.mark.parametrize("want_jac", [True, False])
-    def test_equals_phi_and_phi_jac(self, name, model, want_jac):
-        points = _layout_points(model, 7, np.random.default_rng(zlib.crc32(name.encode())))
-        phi, jac = model.phi_and_jac(points, want_jac)
-        assert np.array_equal(phi, model.phi(points))
-        if want_jac:
-            assert np.array_equal(jac, model.phi_jac(points))
-        else:
-            assert jac is None
+class TestFeaturesAndPullback:
+    """``phi_and_pullback`` is the one feature primitive a likelihood model
+    declares and the call the objectives make: its features and pullback,
+    bitwise, against Jacobians written out entry by entry and contracted
+    with g by one einsum."""
 
     @pytest.mark.parametrize("name,model", [(n, m) for n, m in LIKELIHOOD_MODELS
                                             if hasattr(m, "_E")],
                              ids=[n for n, m in LIKELIHOOD_MODELS if hasattr(m, "_E")])
-    def test_regression_features_from_one_power_table(self, name, model):
-        # the regression models derive phi and phi_jac from phi_and_jac, so
-        # check it bitwise against monomials built one entry at a time
-        points = _layout_points(model, 5, np.random.default_rng(zlib.crc32(name.encode())))
-        phi, jac = model.phi_and_jac(points, True)
+    def test_regression_features_and_pullback_from_one_power_table(self, name, model):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        points = _layout_points(model, 5, rng)
+        g = rng.standard_normal(model.n_features)
+        phi, pullback = model.phi_and_pullback(points)
         E, f = model._E, len(model._free)
+        jac = np.empty((len(points), len(E), f))
         for m, row in enumerate(points[:, model._free]):
             assert np.array_equal(phi[m], _monomial_reference(row, E))
             for c in range(f):
                 lowered = np.maximum(E - np.eye(f, dtype=int)[c], 0)
-                assert np.array_equal(jac[m, :, c], E[:, c] * _monomial_reference(row, lowered))
+                jac[m, :, c] = E[:, c] * _monomial_reference(row, lowered)
+        assert np.array_equal(pullback(g), np.einsum("mkp,k->mp", jac, g))
+        assert np.array_equal(model.phi_jac(points), jac)
+
+    def test_gaussian_mean_closed_form_pullback(self):
+        model = GaussianMeanLocation(3)
+        rng = np.random.default_rng(17)
+        x = 2.0 * rng.standard_normal((6, 3))
+        g = rng.standard_normal(5)
+        jac = np.zeros((6, 5, 3))                       # dphi/dx = (0, I, 2x)
+        jac[:, 1:4, :] = np.eye(3)
+        jac[:, 4, :] = 2.0 * x
+        phi, pullback = model.phi_and_pullback(x)
+        assert np.array_equal(phi, np.column_stack([np.ones(6), x, np.sum(x**2, axis=1)]))
+        assert np.array_equal(pullback(g), np.einsum("mkp,k->mp", jac, g))
+        assert np.array_equal(model.phi_jac(x), jac)
 
 
 class TestLogDensity:
@@ -512,17 +524,30 @@ class TestConstructorSettings:
     @pytest.mark.parametrize("build,key", [
         (lambda: KidScoreModel(prior_scale=float("nan")), "prior_scale"),
         (lambda: KidScoreModel(prior_scale=0), "prior_scale"),
+        (lambda: KidScoreModel(prior_scale=1.4e154), "prior_scale"),
         (lambda: GaussianMeanLocation(0), "dim"),
         (lambda: GaussianMeanLocation(2.0), "dim"),
         (lambda: BayesLinReg.identity_with_intercept(0), "x_dim"),
         (lambda: BayesLinReg.polynomial(True), "degree"),
         (lambda: LogisticLoss(2, ridge=-1), "ridge"),
         (lambda: SquaredErrorLoss.identity_with_intercept(1, ridge=float("inf")), "ridge"),
-    ], ids=["prior_scale_nan", "prior_scale_zero", "dim_zero", "dim_float", "x_dim_zero",
-            "degree_bool", "logistic_ridge_negative", "squared_error_ridge_infinite"])
+    ], ids=["prior_scale_nan", "prior_scale_zero", "prior_scale_huge", "dim_zero", "dim_float",
+            "x_dim_zero", "degree_bool", "logistic_ridge_negative", "squared_error_ridge_infinite"])
     def test_bad_setting_rejected_naming_it(self, build, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             build()
+
+    def test_largest_prior_scale_keeps_every_coefficient_map_finite(self):
+        # no overflow at the bound (pyproject.toml makes its warning an
+        # error): the prior's Hessian entry forms scale^4
+        model = KidScoreModel(prior_scale=KidScoreModel.MAX_PRIOR_SCALE)
+        rng = np.random.default_rng(29)
+        thetas = np.column_stack([rng.standard_normal((20, 2)),
+                                  np.logspace(-3, 3, 20)])
+        phi1 = np.append(model.phi(_layout_points(model, 10, rng)).sum(axis=0), 1.0)
+        for values in (model.loglik_coef(thetas), model.score_coef(thetas),
+                       model.hess_coef(thetas), model.log_density(phi1)(thetas)):
+            assert np.all(np.isfinite(values))
 
     def test_defaults(self):
         assert GaussianMeanLocation().param_dim == 1

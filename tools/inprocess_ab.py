@@ -11,9 +11,9 @@ alternating from run to run. One run of a side times
 
 - ``run_attack`` on the workload's config (iterations per second);
 - ``draw_slices`` at the run's (T, L, d), per call (sfd workloads);
-- the model's features and their Jacobian at the attack's initial measure,
-  per call (fd and sfd workloads): ``phi_and_jac`` where the tree has it,
-  else ``phi`` and ``phi_jac``;
+- one objective-plus-gradient evaluation at the attack's initial measure,
+  per call: ``attack._evaluator`` built once for the run, then called with
+  gradients on, with one fixed ``draw_slices`` block for sfd workloads;
 - the posterior draws, per call (fd and sfd workloads): ``_get_draws``,
   which reads the data CSV and runs the workload's RWM chain. Every call's
   draws must equal, bit for bit, those both sides drew at set-up, and the
@@ -25,8 +25,9 @@ how many paired runs the working tree won. BLAS runs on one thread.
 
 Each side is set up through ``datarecon.cli``'s config helpers as the
 ``attack`` command uses them (``load_config``, ``build_model``,
-``_get_draws(cfg, model)``, ``_load_data(cfg, model)``), so REF must have
-those with these signatures: commit f973e6a and later do.
+``_get_draws(cfg, model)``, ``_load_data(cfg, model)``), and the objective is
+timed through ``attack._evaluator(objective, model, draws, theta_star)``, so
+REF must have those with these signatures: commit f973e6a and later do.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import workloads  # noqa: E402  (same_outputs put perfbench/ on the path)
 
 SEED = 21
 SLICE_CALLS = 200
-FEATURE_CALLS = 500
+OBJECTIVE_CALLS = 500
 
 
 def load_package(alias: str, src: Path):
@@ -88,8 +89,11 @@ class Side:
         else:
             self.target = self.cli._load_data(cfg, self.model)
         self.theta_star = theta_star
-        self.points = self.attack.initialize_pseudo(
-            self.model, self.config, draws=self.draws, theta_star=theta_star).points
+        self.measure = self.attack.initialize_pseudo(
+            self.model, self.config, draws=self.draws, theta_star=theta_star)
+        self.slices = (self.attack.draw_slices(np.random.default_rng(SEED), self.draws.T,
+                                               self.config.L, self.model.param_dim)
+                       if self.config.objective == "sfd" else None)
 
     def iters_per_s(self) -> float:
         t0 = time.perf_counter()
@@ -113,15 +117,13 @@ class Side:
             raise SystemExit(f"{self.cli.__name__}: a rerun drew different posterior draws")
         return ms
 
-    def features_us(self) -> float:
-        model, points = self.model, self.points
-        both = getattr(model, "phi_and_jac", None)
-        call = ((lambda: both(points, True)) if both is not None
-                else (lambda: (model.phi(points), model.phi_jac(points))))
+    def objective_us(self) -> float:
+        evaluate = self.attack._evaluator(self.config.objective, self.model, self.draws,
+                                          self.theta_star)
         t0 = time.perf_counter()
-        for _ in range(FEATURE_CALLS):
-            call()
-        return (time.perf_counter() - t0) / FEATURE_CALLS * 1e6
+        for _ in range(OBJECTIVE_CALLS):
+            evaluate(self.measure, self.slices, True)
+        return (time.perf_counter() - t0) / OBJECTIVE_CALLS * 1e6
 
 
 def main() -> int:
@@ -131,9 +133,9 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=30, help="runs per side")
     args = ap.parse_args()
     wl = workloads.generate(args.workload, SEED)
-    figures = [("run_attack iter/s", "iters_per_s", True)]
+    figures = [("run_attack iter/s", "iters_per_s", True),
+               ("objective us/call", "objective_us", False)]
     if wl.bayesian:
-        figures.append(("features us/call", "features_us", False))
         figures.append(("rwm_draws ms", "rwm_draws_ms", False))
     if wl.config["attack"]["objective"] == "sfd":
         figures.append(("draw_slices us/call", "draw_slices_us", False))
