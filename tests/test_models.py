@@ -393,6 +393,24 @@ class TestFeaturesAndPullback:
         assert np.array_equal(pullback(g), np.einsum("mkp,k->mp", jac, g))
         assert np.array_equal(model.phi_jac(x), jac)
 
+    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
+                             ids=[n for n, _ in LIKELIHOOD_MODELS])
+    def test_pullback_is_linear_and_leaves_the_features_alone(self, name, model):
+        # the closure shares its table with phi: calling it, once or again,
+        # must change neither phi nor what a later call returns
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        points = _layout_points(model, 7, rng)
+        phi, pullback = model.phi_and_pullback(points)
+        assert np.array_equal(phi, model.phi(points))
+        phi_before = phi.copy()
+        g1, g2 = rng.standard_normal((2, phi.shape[1]))
+        first = pullback(g1)
+        np.testing.assert_allclose(pullback(2.0 * g1 - 3.0 * g2),
+                                   2.0 * first - 3.0 * pullback(g2), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(pullback(g1), first)
+        assert np.array_equal(phi, phi_before)
+        assert first.shape == (len(points), model.phi_jac(points).shape[2])
+
 
 class TestLogDensity:
     """``log_density`` is what the sampler scores proposals with; the
