@@ -110,6 +110,13 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite number in it, which JSON cannot hold, as None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return None if value is None or not np.isfinite(value) else value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -276,24 +283,26 @@ def attack(config_path):
 
     # run_attack stops at the first non-finite objective, which is reported
     # as one error line after the work done so far is written; numpy's
-    # overflow warnings on the way would only repeat it
-    t0 = time.perf_counter()
-    diverged = None
-    try:
-        with np.errstate(all="ignore"):
+    # overflow warnings on the way, or in the statistics of the measure it
+    # diverged on, would only repeat it
+    with np.errstate(all="ignore"):
+        t0 = time.perf_counter()
+        diverged = None
+        try:
             trace, measure = run_attack(model, acfg, draws=draws,
                                         theta_star=theta_star,
                                         target_points=target_points)
-    except AttackDiverged as exc:
-        diverged, trace, measure = exc, exc.trace, exc.measure
-    wall["attack"] = time.perf_counter() - t0
+        except AttackDiverged as exc:
+            diverged, trace, measure = exc, exc.trace, exc.measure
+        wall["attack"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    out.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out / "trace.csv")
-    save_measure(out / "measure.csv", measure, model.layout)
-    stats = recon_statistics(measure, model.layout)
-    wall["write"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        out.mkdir(parents=True, exist_ok=True)
+        trace.write_csv(out / "trace.csv")
+        save_measure(out / "measure.csv", measure, model.layout)
+        stats = recon_statistics(measure, model.layout)
+        final = {"total_mass": stats.total_mass, "moments": stats.moments}
+        wall["write"] = time.perf_counter() - t0
     if diverged is None:
         status = {"status": "ok"}
         objective, errors = trace.checkpoints[-1].objective, trace.checkpoints[-1].errors
@@ -306,8 +315,7 @@ def attack(config_path):
         "attack": trace.header,
         "draws": None if draws is None else {
             "source": draws.source, "T": draws.T, "acceptance_rate": draws.acceptance_rate},
-        "final": {"objective": objective, "total_mass": stats.total_mass,
-                  "moments": stats.moments, "errors": errors},
+        "final": _finite_or_null({"objective": objective, **final, "errors": errors}),
         "wall_s": wall,
     }
     with open(out / "summary.json", "w") as fh:

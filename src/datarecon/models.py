@@ -2,9 +2,11 @@
 
 Every likelihood model factorises its log-likelihood as a(theta)^T phi(z)
 over a short feature vector phi and declares only the primitives: phi with
-its pullback through the data, and the coefficient maps a, da/dtheta and
-d2a/dtheta2, whose last entry holds the prior. The objectives work on these
-directly; the per-point log-likelihood and score kept here are their oracle.
+its pullback through the data, the log density theta -> a(theta) . phi1 of
+a weighted posterior, and the coefficient maps da/dtheta and d2a/dtheta2,
+whose last entry holds the prior. The map a itself is read off the log
+density at unit vectors phi1. The objectives work on these directly; the
+per-point log-likelihood and score kept here are their oracle.
 Loss models declare the per-datum loss, and its parameter gradient with that
 gradient's pullback through the data: the same feature contract, with
 phi(z) = grad_theta l(theta, z). ``finite_difference_audit`` checks every
@@ -103,19 +105,20 @@ class LikelihoodModel:
 
     A model declares the primitive ``phi_and_pullback`` (the features and
     their pullback through the free data coordinates, as a loss model's
-    ``grad_and_pullback``) and the coefficient maps ``loglik_coef`` (a),
-    ``score_coef`` (A = da/dtheta) and ``hess_coef`` (B = d2a/dtheta2). Each
-    map has K+1 entries: the last holds the prior's log density, score and
-    Hessian, so the weighted pseudo-posterior's log density is
-    a(theta) . (Phi, 1) with Phi = sum_m w_m phi(z_m) the feature sums of a
-    measure. The statistic-space objective and the sampler are built from
-    these; the sampler scores proposals with ``log_density``, which a model
-    may override. ``phi`` and ``phi_jac`` are derived. The per-point
+    ``grad_and_pullback``), the log density ``log_density`` of the weighted
+    pseudo-posterior, a(theta) . (Phi, w) with Phi = sum_m w_m phi(z_m) the
+    feature sums of a measure and w the prior's weight, and the coefficient
+    maps ``score_coef`` (A = da/dtheta) and ``hess_coef`` (B = d2a/dtheta2).
+    Each map has K+1 entries, K = ``n_features``: the last holds the prior's
+    log density, score and Hessian. The sampler scores proposals with
+    ``log_density``; the statistic-space objective is built from A and B.
+    ``loglik_coef`` (a), ``phi`` and ``phi_jac`` are derived. The per-point
     log-likelihood and score below use the first K entries only; they are
     the reference the objective and the audit compare against.
     """
 
     param_dim: int
+    n_features: int
     layout: Layout
 
     # per-row mask (T,) of the rows of ``thetas`` (T, d) that lie in the
@@ -143,7 +146,13 @@ class LikelihoodModel:
         coordinates: the Jacobian's work runs only when that is called."""
         raise NotImplementedError
 
-    def loglik_coef(self, thetas):                    # (T, K+1)
+    def log_density(self, phi1):                      # (B, d) -> (B,)
+        """The log density theta -> a(theta) . phi1 of the posterior with
+        feature sums and prior weight phi1 = (Phi, w), as a function of a
+        batch of rows: exactly -inf on rows outside the domain, which are
+        evaluated too and then masked (call it under ``np.errstate`` to
+        silence their warnings). phi1 is folded into a cheap form once
+        here, for the sampler's many calls."""
         raise NotImplementedError
 
     def score_coef(self, thetas):                     # (T, d, K+1)
@@ -152,16 +161,11 @@ class LikelihoodModel:
     def hess_coef(self, thetas):                      # (T, K+1, d, d)
         raise NotImplementedError
 
-    def log_density(self, phi1):                      # (B, d) -> (B,)
-        """The log density theta -> a(theta) . phi1 of the posterior with
-        feature sums and prior weight phi1 = (Phi, w), as a function of a
-        batch of rows: exactly -inf on rows outside the domain, which are
-        evaluated too and then masked (call it under ``np.errstate`` to
-        silence their warnings). Models may fold phi1 into a cheaper form
-        once here, for the sampler's many calls."""
-        phi1 = np.asarray(phi1, dtype=float)
-        return lambda thetas: np.where(self.in_domain(thetas),
-                                       self.loglik_coef(thetas) @ phi1, -np.inf)
+    # column k of a(theta) is the log density at phi1 = e_k; -inf outside the domain
+    def loglik_coef(self, thetas):                    # (T, K+1)
+        thetas = np.asarray(thetas, dtype=float)
+        return np.column_stack([self.log_density(e)(thetas)
+                                for e in np.eye(self.n_features + 1)])
 
     def phi(self, points):                            # (M, K)
         return self.phi_and_pullback(points)[0]
@@ -208,6 +212,7 @@ class GaussianMeanLocation(LikelihoodModel):
 
     def __init__(self, dim: int = 1):
         self.param_dim = d = integer("dim", dim, 1)
+        self.n_features = d + 2
         self.layout = Layout(p=dim, x_idx=tuple(range(dim)))
         self._hess = np.zeros((d + 3, d, d))          # fixed over theta
         self._hess[[0, -1]] = -np.eye(d)
@@ -219,10 +224,10 @@ class GaussianMeanLocation(LikelihoodModel):
         phi = np.column_stack([np.ones(len(x)), x, np.sum(x**2, axis=1)])
         return phi, lambda g: g[1:d + 1] + 2.0 * x * g[d + 1]
 
-    def loglik_coef(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        half_sq = -0.5 * np.sum(thetas**2, axis=1)
-        return np.column_stack([half_sq, thetas, np.full(len(thetas), -0.5), half_sq])
+    # a . (Phi, w) = theta . Phi_x - (n ||theta||^2 + Phi_xx) / 2, n = Phi_0 + w
+    def log_density(self, phi1):
+        n, sx, sxx = phi1[0] + phi1[-1], phi1[1:-2], phi1[-2]
+        return lambda thetas: thetas @ sx - 0.5 * (n * np.sum(thetas**2, axis=1) + sxx)
 
     def score_coef(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -248,8 +253,10 @@ class _GaussianRegression(LikelihoodModel):
     ``Layout.frozen_value`` = 1 and drop out of every product; phi(z) holds
     each distinct monomial once, the constant first, and the 0/1 matrix Q_k
     marks the products equal to monomial k. Then a = c(s) e_1 + q(beta) / s^2
-    with q_k = -beta~^T Q_k beta~ / 2; ``_q``, ``_dq`` and ``_d2q`` hold q
-    and its first and (constant) second derivatives in beta.
+    with q_k = -beta~^T Q_k beta~ / 2. Everything is read off the one table
+    ``_Q`` (K, q+1, q+1): ``_q`` and ``_dq`` give q and its first derivative
+    in beta, -Q_k's beta block its (constant) second, and ``_scatter`` folds
+    feature sums into the one quadratic form the log density evaluates.
     """
 
     def __init__(self, features, layout: Layout):
@@ -266,20 +273,13 @@ class _GaussianRegression(LikelihoodModel):
         tilde[:q, list(layout.x_idx)] = psi_exp
         tilde[q, layout.y_idx] = 1
         tilde = tilde[:, self._free]
-        self._I, self._J = np.triu_indices(q + 1)
-        self._E, k = np.unique(
-            np.vstack([np.zeros_like(tilde[:1]), tilde[self._I] + tilde[self._J]]),
-            axis=0, return_inverse=True)
+        I, J = np.triu_indices(q + 1)
+        self._E, k = np.unique(np.vstack([np.zeros_like(tilde[:1]), tilde[I] + tilde[J]]),
+                               axis=0, return_inverse=True)
         k = k.ravel()[1:]                                # monomial of each pair i <= j
         self.n_features = K = len(self._E)
-        Q = np.zeros((K, q + 1, q + 1))
-        Q[k, self._I, self._J] = Q[k, self._J, self._I] = 1.0
-        # q = (beta~_i beta~_j over pairs i <= j) @ _pair_coef
-        self._pair_coef = (np.where(self._I == self._J, -0.5, -1.0)[:, None]
-                           * Q[:, self._I, self._J].T)
-        # dq (T, q, K) = beta~ @ _dq_coef, reshaped
-        self._dq_coef = -Q[:, :q].transpose(2, 1, 0).reshape(q + 1, q * K)
-        self._d2q = -Q[:, :q, :q]
+        self._Q = np.zeros((K, q + 1, q + 1))
+        self._Q[k, I, J] = self._Q[k, J, I] = 1.0
         # d phi_k / d z_c = E_kc times monomial k with E_kc lowered by one
         f = len(self._free)
         self._jac_E = np.maximum(self._E - np.eye(f, dtype=int)[:, None], 0).reshape(f * K, f)
@@ -291,23 +291,20 @@ class _GaussianRegression(LikelihoodModel):
         out[:, -1] = -1.0
         return out
 
-    # the sampler scores up to RWM_BLOCK rows per call: one gather of the pair
-    # products and one small matmul keep this cheap
     def _q(self, beta):                               # (T, K)
         bt = self._tilde(beta)
-        return (bt.take(self._I, axis=1) * bt.take(self._J, axis=1)) @ self._pair_coef
+        return -0.5 * np.einsum("ktj,tj->tk", bt @ self._Q, bt)
 
+    # one matmul against -Q's beta rows laid out (q+1, q K) gives dq in C order:
+    # an einsum, or a transposed copy of a batched matmul, is many times slower
     def _dq(self, beta):                              # (T, q, K)
-        return (self._tilde(beta) @ self._dq_coef).reshape(len(beta), beta.shape[1], -1)
+        T, q = beta.shape
+        dq_coef = -self._Q[:, :q].transpose(2, 1, 0).reshape(q + 1, -1)
+        return (self._tilde(beta) @ dq_coef).reshape(T, q, -1)
 
     def _scatter(self, phi):                          # (q+1, q+1)
-        """The symmetric S with beta~^T S beta~ = q(beta) . phi: each pair's
-        weight in ``_pair_coef @ phi``, split evenly between S_ij and S_ji."""
-        w = self._pair_coef @ phi
-        w[self._I != self._J] *= 0.5
-        S = np.empty((self._I[-1] + 1,) * 2)
-        S[self._I, self._J] = S[self._J, self._I] = w
-        return S
+        """The symmetric S = -sum_k phi_k Q_k / 2, so beta~^T S beta~ = q(beta) . phi."""
+        return -0.5 * np.tensordot(phi, self._Q, 1)
 
     @staticmethod
     def _quadratic(S):
@@ -343,14 +340,7 @@ class BayesLinReg(_RegressionLayouts, _GaussianRegression):
     def __init__(self, features, layout: Layout):
         super().__init__(features, layout)
         self.param_dim = d = len(features.exponents)
-        self._hess = np.concatenate([self._d2q, -np.eye(d)[None]])   # fixed over theta
-
-    def loglik_coef(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.empty((len(thetas), self.n_features + 1))
-        out[:, :-1] = self._q(thetas)
-        out[:, -1] = -0.5 * np.sum(thetas**2, axis=1)
-        return out
+        self._hess = np.concatenate([-self._Q[:, :d, :d], -np.eye(d)[None]])  # fixed over theta
 
     # the prior -|theta|^2 / 2 at weight w joins the scatter form's diagonal
     def log_density(self, phi1):
@@ -399,19 +389,9 @@ class KidScoreModel(_GaussianRegression):
         thetas = np.asarray(thetas, dtype=float)
         return thetas[:, :2], thetas[:, 2]
 
-    # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2; the constant
-    # monomial also carries q's beta_0^2 term, so c(s) is added to it. The
-    # prior entry is -log(1 + (s / scale)^2), flat in beta.
-    def loglik_coef(self, thetas):
-        beta, s = self._split_theta(thetas)
-        s2 = (s**2)[:, None]
-        out = np.empty((len(s), self.n_features + 1))
-        out[:, :-1] = self._q(beta) / s2
-        out[:, :1] += -0.5 * np.log(2.0 * np.pi * s2)
-        out[:, -1] = -np.log1p((s / self.prior_scale) ** 2)
-        return out
-
-    # a . (Phi, w) = beta~^T S beta~ / s^2 + c(s) Phi_0 + w log prior(s)
+    # a = c(s) e_1 + q(beta) / s^2 with c(s) = -log(2 pi s^2) / 2 on the
+    # constant monomial, and the prior entry -log(1 + (s / scale)^2), flat in
+    # beta: a . (Phi, w) = beta~^T S beta~ / s^2 + c(s) Phi_0 + w log prior(s)
     def log_density(self, phi1):
         quadratic = self._quadratic(self._scatter(phi1[:-1]))
         half_n, w, g2 = 0.5 * phi1[0], phi1[-1], self.prior_scale**2
@@ -421,7 +401,7 @@ class KidScoreModel(_GaussianRegression):
             s2 = s * s
             out = (quadratic(thetas[:, :2]) / s2 - half_n * np.log(2.0 * np.pi * s2)
                    - w * np.log1p(s2 / g2))
-            return np.where(s > 0, out, -np.inf)
+            return np.where(self.in_domain(thetas), out, -np.inf)
 
         return f
 
@@ -437,7 +417,7 @@ class KidScoreModel(_GaussianRegression):
     def hess_coef(self, thetas):
         beta, s = self._split_theta(thetas)
         out = np.zeros((len(s), self.n_features + 1, 3, 3))
-        out[:, :-1, :2, :2] = self._d2q / (s**2)[:, None, None, None]
+        out[:, :-1, :2, :2] = -self._Q[:, :2, :2] / (s**2)[:, None, None, None]
         cross = -2.0 * self._dq(beta).transpose(0, 2, 1) / (s**3)[:, None, None]
         out[:, :-1, :2, 2] = cross
         out[:, :-1, 2, :2] = cross

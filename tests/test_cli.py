@@ -634,6 +634,38 @@ class TestAttackDataHandling:
             f"error: sampler.path {draws}: a parameter vector lies outside the model domain"]
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _huge_noise_scale_attack(runner, tmp_path, warning_filter):
+        # the pseudo-responses start at sigma's scale, so the objective is
+        # non-finite at once and the written measure's second moments overflow
+        draws = tmp_path / "draws.csv"
+        write_rows(draws, ("beta_0", "beta_1", "sigma"), [[0.1, 0.2, 1e160]] * 2)
+        cfg_dict = _kidscore_cfg(tmp_path)
+        cfg_dict["sampler"] = {"kind": "file", "path": str(draws)}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(warning_filter)
+            result = runner.invoke(main, ["attack", "--config",
+                                          _write_config(tmp_path / "cfg.json", cfg_dict)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        return result, caught
+
+    def test_draws_file_with_huge_noise_scale_is_one_line_error(self, runner, tmp_path):
+        result, caught = self._huge_noise_scale_attack(runner, tmp_path, "always")
+        assert [str(w.message) for w in caught] == []
+        assert result.stderr.splitlines() == ["error: objective became non-finite at iteration 0"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "diverged"
+
+    def test_non_finite_final_statistics_written_as_null(self, runner, tmp_path):
+        self._huge_noise_scale_attack(runner, tmp_path, "ignore")
+
+        def not_json(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        moments = json.loads(text, parse_constant=not_json)["final"]["moments"]
+        assert moments["var_u"] is None and moments["mean_u"] > 1e150
+
     def test_file_sampler_attacks_like_the_sampler_that_wrote_it(self, runner, tmp_path):
         cfg_dict = _kidscore_cfg(tmp_path)
         cfg_dict["sampler"]["T"] = 20

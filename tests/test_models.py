@@ -412,9 +412,17 @@ class TestFeaturesAndPullback:
         assert first.shape == (len(points), model.phi_jac(points).shape[2])
 
 
+def _log_prior(model, theta):
+    """The log prior written out: half-Cauchy on kidscore's sigma, else standard Gaussian."""
+    if isinstance(model, KidScoreModel):
+        return -np.log(1.0 + (theta[2] / 2.5) ** 2)
+    return -0.5 * np.dot(theta, theta)
+
+
 class TestLogDensity:
-    """``log_density`` is what the sampler scores proposals with; the
-    coefficient map contracted with (Phi, w) is its oracle."""
+    """``log_density`` is what the sampler scores proposals with, and every
+    column of ``loglik_coef`` is read off it; the weighted sum of per-point
+    densities written out with plain numpy is its oracle."""
 
     @staticmethod
     def _phi1(model, rng):
@@ -422,14 +430,18 @@ class TestLogDensity:
         points = _layout_points(model, 30, rng)
         return np.append(rng.random(30) @ model.phi(points), 0.5 + rng.random())
 
-    @pytest.mark.parametrize("name,model", LIKELIHOOD_MODELS,
-                             ids=[n for n, _ in LIKELIHOOD_MODELS])
-    def test_matches_coefficient_map(self, name, model):
+    @pytest.mark.parametrize("name,model,draw_theta,density", LIKELIHOOD_DENSITIES,
+                             ids=[c[0] for c in LIKELIHOOD_DENSITIES])
+    def test_matches_weighted_density_sum(self, name, model, draw_theta, density):
+        # sum_m w_m log l(theta, z_m) + w0 log prior(theta), with weights off 1
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        phi1 = self._phi1(model, rng)
-        thetas = np.array([_random_point(model, rng)[0] for _ in range(200)])
-        values = model.log_density(phi1)(thetas)
-        np.testing.assert_allclose(values, model.loglik_coef(thetas) @ phi1, rtol=1e-12, atol=0)
+        pts = 1.5 * rng.standard_normal((30, model.layout.p))
+        pts[:, list(model.layout.frozen_idx)] = model.layout.frozen_value
+        w, w0 = 0.2 + 2.0 * rng.random(30), 0.5 + rng.random()
+        thetas = np.array([draw_theta(rng) for _ in range(200)])
+        expected = [w @ density(th, pts) + w0 * _log_prior(model, th) for th in thetas]
+        values = model.log_density(np.append(w @ model.phi(pts), w0))(thetas)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
 
     def test_outside_the_domain_is_minus_inf(self):
         model = KidScoreModel()

@@ -9,7 +9,9 @@ the workload's config from ``perfbench/workloads.py`` at seed 21, samples its
 posterior draws once, then the two sides take turns, the side that goes first
 alternating from run to run. One run of a side times
 
-- ``run_attack`` on the workload's config (iterations per second);
+- ``run_attack`` on the workload's config, repeated until at least 0.2 s
+  have passed: iterations per second over all the repeats (one attack of
+  40-60 iterations takes a few ms, too short to time on its own);
 - ``draw_slices`` at the run's (T, L, d), per call (sfd workloads);
 - one objective-plus-gradient evaluation at the attack's initial measure,
   per call: ``attack._evaluator`` built once for the run, then called with
@@ -96,10 +98,12 @@ class Side:
                        if self.config.objective == "sfd" else None)
 
     def iters_per_s(self) -> float:
-        t0 = time.perf_counter()
-        self.attack.run_attack(self.model, self.config, draws=self.draws,
-                               theta_star=self.theta_star, target_points=self.target)
-        return self.config.iters / (time.perf_counter() - t0)
+        iters, t0 = 0, time.perf_counter()
+        while (elapsed := time.perf_counter() - t0) < 0.2:
+            self.attack.run_attack(self.model, self.config, draws=self.draws,
+                                   theta_star=self.theta_star, target_points=self.target)
+            iters += self.config.iters
+        return iters / elapsed
 
     def draw_slices_us(self) -> float:
         rng = np.random.default_rng(self.config.seed)
@@ -156,7 +160,7 @@ def main() -> int:
                     found[name][side].append(getattr(sides[side], name)())
 
     print(f"{args.workload} seed {SEED}, {args.runs} runs per side, "
-          f"{sides['work'].config.iters} iterations per run, against {args.against}")
+          f"{sides['work'].config.iters} iterations per attack, against {args.against}")
     for label, name, higher in figures:
         ref, work = (np.array(found[name][side]) for side in ("ref", "work"))
         won = int(np.sum(work > ref if higher else work < ref))
